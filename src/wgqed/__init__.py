@@ -8,9 +8,9 @@ lattice coupled to a single-mode waveguide.
 __version__ = "0.1.0"
 
 from .model import (CavityChain, CavityGeometry, FillingMode, LatticeSpec,
-                    PhysicalParams, Realization, build_cavity,
-                    mirror_closed_form, reduce_theta, single_atom_coeffs)
-from .sampling import realization_rng, sample_realization
+                    PhysicalParams, Realization, mirror_closed_form,
+                    reduce_theta)
+from .sampling import build_cavity, realization_rng, sample_realization
 from .solver import (ScanResult, ScatterResult, SolverError, build_h1,
                      count_local_maxima, optical_depth, scatter,
                      spectrum_scan, steady_state)
@@ -18,22 +18,20 @@ from .transfer_matrix import compare_markovian, tm_scatter, tm_spectrum
 from .dynamics import excited_population, propagate_amplitudes
 from .correlations import (G2Result, TruncatedState, g2_curve,
                            steady_state_truncated)
-from .ensemble import (EnsembleStats, filling_scan, g2_ensemble, kd_scan,
-                       point_ensemble, rabi_ensemble, run_ensemble,
-                       spectrum_ensemble)
+from .ensemble import (Ensemble, EnsembleStats, filling_scan, g2_ensemble,
+                       kd_scan, rabi_ensemble, run_ensemble, spectrum_ensemble)
 
 __all__ = [
     "__version__",
     "CavityChain", "CavityGeometry", "FillingMode", "LatticeSpec",
-    "PhysicalParams", "Realization", "build_cavity", "mirror_closed_form",
-    "reduce_theta", "single_atom_coeffs",
-    "realization_rng", "sample_realization",
+    "PhysicalParams", "Realization", "mirror_closed_form", "reduce_theta",
+    "build_cavity", "realization_rng", "sample_realization",
     "ScanResult", "ScatterResult", "SolverError", "build_h1",
     "count_local_maxima", "optical_depth", "scatter", "spectrum_scan",
     "steady_state",
     "compare_markovian", "tm_scatter", "tm_spectrum",
     "excited_population", "propagate_amplitudes",
     "G2Result", "TruncatedState", "g2_curve", "steady_state_truncated",
-    "EnsembleStats", "filling_scan", "g2_ensemble", "kd_scan",
-    "point_ensemble", "rabi_ensemble", "run_ensemble", "spectrum_ensemble",
+    "Ensemble", "EnsembleStats", "filling_scan", "g2_ensemble", "kd_scan",
+    "rabi_ensemble", "run_ensemble", "spectrum_ensemble",
 ]

@@ -66,18 +66,30 @@ def _add_physics(p):
     p.add_argument("--drive-amp", type=float, default=1e-4)
 
 
-def _add_lattice(p):
-    p.add_argument("--n-sites", type=int, default=100)
-    p.add_argument("--filling", type=float, default=1.0)
+def _add_lattice(p, n_sites=True, filling=True):
+    if n_sites:
+        p.add_argument("--n-sites", type=int, default=100)
+    if filling:
+        p.add_argument("--filling", type=float, default=1.0)
     p.add_argument("--filling-mode", choices=[m.value for m in FillingMode],
                    default=FillingMode.FIXED_COUNT.value)
 
 
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _add_ensemble(p):
     p.add_argument("--samples", type=int, default=ensemble.DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.add_argument("--workers", type=int, default=_default_workers(),
                    help="process count (default from WGQED_WORKERS)")
+
+
+def _add_delta_range(p):
+    p.add_argument("--delta-min", type=float, default=-20.0)
+    p.add_argument("--delta-max", type=float, default=20.0)
+    p.add_argument("--delta-steps", type=int, default=401)
 
 
 def _params(ns, delta=0.0, eta=0.0):
@@ -114,60 +126,49 @@ def _resolved(ns):
     return out
 
 
-def _failure_meta(failures):
-    if not failures:
-        return None
-    return {"count": len(failures),
-            "first": "index %s: %s" % (failures[0][0], str(failures[0][1])[:200])}
-
-
 def _write(ns, names, columns, meta, units):
-    meta = {k: v for k, v in meta.items() if v is not None}
     io.write_result(ns.out, names, columns, meta, units, ns.format)
     print("wrote %s" % ns.out, file=sys.stderr)
+
+
+def _run_args(ns):
+    """Sample count, seed, workers and progress for an ensemble driver."""
+    return dict(n_samples=ns.samples, master_seed=ns.seed, workers=ns.workers,
+                progress=_progress(ns.command))
+
+
+def _write_ensemble(ns, res, units):
+    meta = {"config": _resolved(ns), "master_seed": res.master_seed,
+            "samples_ok": res.count}
+    if res.failures:
+        index, reason = res.failures[0]
+        meta["failures"] = {"count": len(res.failures),
+                            "first": "index %s: %s" % (index, str(reason)[:200])}
+    _write(ns, list(res.columns), list(res.columns.values()), meta, units)
+    return 0
 
 
 def cmd_spectrum(ns):
     deltas = np.linspace(ns.delta_min, ns.delta_max, ns.delta_steps)
     res = ensemble.spectrum_ensemble(_lattice(ns), _params(ns), deltas,
-                                     ns.samples, ns.seed, ns.workers,
-                                     progress=_progress("spectrum"))
-    _write(ns, ["delta", "T_mean", "T_se", "R_mean", "R_se", "sum_mean"],
-           [res.deltas, res.T_mean, res.T_se, res.R_mean, res.R_se,
-            res.sum_mean],
-           {"config": _resolved(ns), "master_seed": ns.seed,
-            "samples_ok": res.count, "failures": _failure_meta(res.failures)},
-           {"delta": "gamma0"})
-    return 0
+                                     **_run_args(ns))
+    return _write_ensemble(ns, res, {"delta": "gamma0"})
 
 
 def cmd_kd_scan(ns):
     thetas = np.linspace(parse_theta(ns.theta_min), parse_theta(ns.theta_max),
                          ns.theta_steps)
     res = ensemble.kd_scan(_lattice(ns), _params(ns, delta=ns.delta), thetas,
-                           ns.samples, ns.seed, ns.workers,
-                           progress=_progress("kd-scan"))
-    _write(ns, ["theta", "depth", "T_mean", "T_se", "R_mean", "R_se"],
-           [res.thetas, res.depth, res.T_mean, res.T_se, res.R_mean, res.R_se],
-           {"config": _resolved(ns), "master_seed": ns.seed,
-            "samples_ok": res.count, "failures": _failure_meta(res.failures)},
-           {"theta": "rad", "delta": "gamma0"})
-    return 0
+                           **_run_args(ns))
+    return _write_ensemble(ns, res, {"theta": "rad", "delta": "gamma0"})
 
 
 def cmd_filling_scan(ns):
     fillings = np.linspace(ns.p_min, ns.p_max, ns.p_steps)
     res = ensemble.filling_scan(ns.n_sites, _params(ns, delta=ns.delta),
                                 fillings, FillingMode(ns.filling_mode),
-                                ns.samples, ns.seed, ns.workers,
-                                progress=_progress("filling-scan"))
-    _write(ns, ["filling", "depth", "T_mean", "T_se", "R_mean", "R_se"],
-           [res.fillings, res.depth, res.T_mean, res.T_se, res.R_mean,
-            res.R_se],
-           {"config": _resolved(ns), "master_seed": ns.seed,
-            "samples_ok": res.count, "failures": _failure_meta(res.failures)},
-           {"delta": "gamma0"})
-    return 0
+                                **_run_args(ns))
+    return _write_ensemble(ns, res, {"delta": "gamma0"})
 
 
 def cmd_rabi(ns):
@@ -175,28 +176,15 @@ def cmd_rabi(ns):
                           theta0=ns.theta0)
     times = default_times(ns.t_max, ns.t_steps)
     res = ensemble.rabi_ensemble(geom, ns.filling, _params(ns), times,
-                                 FillingMode(ns.filling_mode), ns.samples,
-                                 ns.seed, ns.workers,
-                                 progress=_progress("rabi"))
-    _write(ns, ["t", "pe_mean", "pe_se"],
-           [res.times, res.pe_mean, res.pe_se],
-           {"config": _resolved(ns), "master_seed": ns.seed,
-            "samples_ok": res.count, "failures": _failure_meta(res.failures)},
-           {"t": "1/gamma0"})
-    return 0
+                                 FillingMode(ns.filling_mode), **_run_args(ns))
+    return _write_ensemble(ns, res, {"t": "1/gamma0"})
 
 
 def cmd_g2(ns):
     taus = default_taus(ns.tau_max, ns.tau_steps)
     res = ensemble.g2_ensemble(_lattice(ns), _params(ns, delta=ns.delta),
-                               taus, ns.port, ns.average, ns.samples, ns.seed,
-                               ns.workers, progress=_progress("g2"))
-    _write(ns, ["tau", "g2_mean", "g2_se"],
-           [res.taus, res.g2, res.g2_se],
-           {"config": _resolved(ns), "master_seed": ns.seed,
-            "samples_ok": res.count, "failures": _failure_meta(res.failures)},
-           {"tau": "1/gamma0"})
-    return 0
+                               taus, ns.port, ns.average, **_run_args(ns))
+    return _write_ensemble(ns, res, {"tau": "1/gamma0"})
 
 
 def cmd_tm_compare(ns):
@@ -261,9 +249,7 @@ def build_parser():
     _add_lattice(p)
     _add_physics(p)
     _add_ensemble(p)
-    p.add_argument("--delta-min", type=float, default=-20.0)
-    p.add_argument("--delta-max", type=float, default=20.0)
-    p.add_argument("--delta-steps", type=int, default=401)
+    _add_delta_range(p)
     _add_output(p, "spectrum.dat")
     p.set_defaults(func=cmd_spectrum)
 
@@ -279,9 +265,7 @@ def build_parser():
     p.set_defaults(func=cmd_kd_scan)
 
     p = sub.add_parser("filling-scan", help="optical depth versus filling")
-    p.add_argument("--n-sites", type=int, default=100)
-    p.add_argument("--filling-mode", choices=[m.value for m in FillingMode],
-                   default=FillingMode.FIXED_COUNT.value)
+    _add_lattice(p, filling=False)
     _add_physics(p)
     _add_ensemble(p)
     p.add_argument("--delta", type=float, default=0.0)
@@ -298,9 +282,7 @@ def build_parser():
     p.add_argument("--mirror-sites", type=int, default=50)
     p.add_argument("--theta0", type=parse_theta, default="1.5pi",
                    help="phase between the central atom and each mirror")
-    p.add_argument("--filling", type=float, default=1.0)
-    p.add_argument("--filling-mode", choices=[m.value for m in FillingMode],
-                   default=FillingMode.FIXED_COUNT.value)
+    _add_lattice(p, n_sites=False)
     p.add_argument("--t-max", type=float, default=20.0)
     p.add_argument("--t-steps", type=int, default=2000)
     _add_output(p, "rabi.dat")
@@ -324,12 +306,10 @@ def build_parser():
                                           "retarded transfer-matrix cascade")
     _add_lattice(p)
     _add_physics(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.add_argument("--eta", type=float, default=1e-6,
                    help="retardation ratio gamma0/omega_a")
-    p.add_argument("--delta-min", type=float, default=-20.0)
-    p.add_argument("--delta-max", type=float, default=20.0)
-    p.add_argument("--delta-steps", type=int, default=401)
+    _add_delta_range(p)
     _add_output(p, "tm_compare.dat")
     p.set_defaults(func=cmd_tm_compare)
 

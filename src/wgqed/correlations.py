@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import propagate_amplitudes
 from .model import PhysicalParams, Realization
-from .solver import effective_hamiltonian, solve_with_refinement
+from .solver import _amplitudes, effective_hamiltonian, solve_with_refinement
 from .transfer_matrix import tm_scatter
 
 STABLE_AMP_FLOOR = 1e-8
@@ -121,7 +121,11 @@ class G2Result:
 
 def g2_curve(real: Realization, params: PhysicalParams, taus,
              port: str = TRANSMITTED) -> G2Result:
-    """Normalized second-order correlation of one output port over tau >= 0."""
+    """Normalized second-order correlation of one output port over tau >= 0.
+
+    Raises RuntimeError when the curve is not finite, which happens once
+    the baseline amplitude is too small for its fourth power.
+    """
     if port not in (TRANSMITTED, REFLECTED):
         raise ValueError("port must be %r or %r" % (TRANSMITTED, REFLECTED))
     taus = np.asarray(taus, dtype=float)
@@ -137,8 +141,7 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
 
     phases = np.asarray(real.phases(params.theta), dtype=float)
     h1, w, c_tilde = _singles(phases, real.detunings, params)
-    t_amp = complex(1.0 + 0.5j * g0 * np.vdot(w, c_tilde))
-    r_amp = complex(0.5j * g0 * (w @ c_tilde))
+    t_amp, r_amp = _amplitudes(c_tilde, w, g0)
     jj, kk, d_tilde = _pairs(phases, real.detunings, params, w, c_tilde)
 
     if port == TRANSMITTED:
@@ -175,7 +178,11 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
     delta_vec = conditioned - base * c_tilde
     amps, method = propagate_amplitudes(h1, delta_vec, taus)
     q = 0.5j * g0 * (amps @ probe)
-    values = np.abs(base * base + q) ** 2 / abs(base) ** 4
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = np.abs(base * base + q) ** 2 / abs(base) ** 4
+    if not np.isfinite(values).all():
+        raise RuntimeError("g2 not finite: |%s baseline| = %.3g (%s) is "
+                           "too small" % (port, abs(base), source))
     return G2Result(taus, values, port, base, source, False, method)
 
 

@@ -20,9 +20,8 @@ import numpy as np
 
 from .correlations import g2_curve
 from .dynamics import excited_population
-from .model import (CavityGeometry, FillingMode, LatticeSpec, PhysicalParams,
-                    build_cavity)
-from .sampling import realization_rng, sample_realization
+from .model import CavityGeometry, FillingMode, LatticeSpec, PhysicalParams
+from .sampling import build_cavity, realization_rng, sample_realization
 from .solver import optical_depth, scatter, spectrum_scan
 
 DEFAULT_SAMPLES = 200
@@ -35,6 +34,17 @@ class EnsembleStats:
     count: int
     master_seed: int
     failures: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """One ensemble result: ``columns`` maps each result-file column name
+    to its values, in file order; ``failures`` lists (index, reason)."""
+
+    columns: dict
+    count: int
+    master_seed: int
+    failures: list
 
 
 def run_ensemble(kernel, n_samples, master_seed, workers=1, args=(),
@@ -100,12 +110,6 @@ def _sample_std(stacked):
 # ----------------------------------------------------------------------
 # picklable observable kernels
 
-def scatter_kernel(index, master_seed, lattice, params):
-    real = sample_realization(lattice, params.sigma_ih, master_seed, index)
-    res = scatter(real, params)
-    return np.array([res.T, res.R])
-
-
 def spectrum_kernel(index, master_seed, lattice, params, deltas):
     real = sample_realization(lattice, params.sigma_ih, master_seed, index)
     scan = spectrum_scan(real, params, deltas)
@@ -128,19 +132,15 @@ def rabi_kernel(index, master_seed, geom, filling, mode, params, times):
     return excited_population(chain, params, times).populations
 
 
-def g2_kernel(index, master_seed, lattice, params, taus, port):
+def g2_kernel(index, master_seed, lattice, params, taus, port, average):
+    """The normalized curve (average 'g2'), or the curve and the intensity
+    each weighted by |baseline|^4 (average 'G2')."""
     real = sample_realization(lattice, params.sigma_ih, master_seed, index)
     res = g2_curve(real, params, taus, port)
     if res.divergent:
         raise RuntimeError("divergent g2 (zero %s baseline)" % port)
-    return res.values
-
-
-def g2_raw_kernel(index, master_seed, lattice, params, taus, port):
-    real = sample_realization(lattice, params.sigma_ih, master_seed, index)
-    res = g2_curve(real, params, taus, port)
-    if res.divergent:
-        raise RuntimeError("divergent g2 (zero %s baseline)" % port)
+    if average == "g2":
+        return res.values
     weight = abs(res.base_amp) ** 4
     return np.stack([res.values * weight, np.full_like(res.values, weight)])
 
@@ -148,160 +148,77 @@ def g2_raw_kernel(index, master_seed, lattice, params, taus, port):
 # ----------------------------------------------------------------------
 # ensemble drivers
 
-@dataclass(frozen=True)
-class SpectrumEnsemble:
-    deltas: np.ndarray
-    T_mean: np.ndarray
-    T_se: np.ndarray
-    R_mean: np.ndarray
-    R_se: np.ndarray
-    count: int
-    master_seed: int
-    failures: list
-
-    @property
-    def sum_mean(self) -> np.ndarray:
-        return self.T_mean + self.R_mean
+def _ensemble(columns, stats) -> Ensemble:
+    return Ensemble(columns, stats.count, stats.master_seed, stats.failures)
 
 
 def spectrum_ensemble(lattice: LatticeSpec, params: PhysicalParams, deltas,
                       n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
-                      progress=None) -> SpectrumEnsemble:
+                      progress=None) -> Ensemble:
     deltas = np.asarray(deltas, dtype=float)
     stats = run_ensemble(spectrum_kernel, n_samples, master_seed, workers,
                          args=(lattice, params, deltas), progress=progress)
-    return SpectrumEnsemble(deltas, stats.mean[0], stats.stderr[0],
-                            stats.mean[1], stats.stderr[1],
-                            stats.count, master_seed, stats.failures)
-
-
-@dataclass(frozen=True)
-class PointEnsemble:
-    """Mean T and R at a single drive detuning, plus the derived depth."""
-
-    T_mean: float
-    T_se: float
-    R_mean: float
-    R_se: float
-    count: int
-    failures: list
-
-    @property
-    def depth(self) -> float:
-        return optical_depth(self.T_mean)
-
-
-def point_ensemble(lattice: LatticeSpec, params: PhysicalParams,
-                   n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
-                   progress=None) -> PointEnsemble:
-    stats = run_ensemble(scatter_kernel, n_samples, master_seed, workers,
-                         args=(lattice, params), progress=progress)
-    return PointEnsemble(float(stats.mean[0]), float(stats.stderr[0]),
-                         float(stats.mean[1]), float(stats.stderr[1]),
-                         stats.count, stats.failures)
-
-
-@dataclass(frozen=True)
-class KdScan:
-    thetas: np.ndarray
-    depth: np.ndarray
-    T_mean: np.ndarray
-    T_se: np.ndarray
-    R_mean: np.ndarray
-    R_se: np.ndarray
-    count: int
-    failures: list
+    (T, R), (T_se, R_se) = stats.mean, stats.stderr
+    return _ensemble({"delta": deltas, "T_mean": T, "T_se": T_se,
+                      "R_mean": R, "R_se": R_se, "sum_mean": T + R}, stats)
 
 
 def kd_scan(lattice: LatticeSpec, params: PhysicalParams, thetas,
             n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
-            progress=None) -> KdScan:
-    """Ensemble T, R, and optical depth as a function of the lattice phase."""
+            progress=None) -> Ensemble:
+    """Ensemble T, R, and optical depth as a function of the lattice phase.
+
+    A one-point scan over ``[params.theta]`` is the ensemble at a single
+    drive detuning.
+    """
     thetas = np.asarray(thetas, dtype=float)
     stats = run_ensemble(kd_kernel, n_samples, master_seed, workers,
                          args=(lattice, params, thetas), progress=progress)
-    depth = np.array([optical_depth(t) for t in stats.mean[0]])
-    return KdScan(thetas, depth, stats.mean[0], stats.stderr[0],
-                  stats.mean[1], stats.stderr[1], stats.count, stats.failures)
-
-
-@dataclass(frozen=True)
-class FillingScan:
-    fillings: np.ndarray
-    depth: np.ndarray
-    T_mean: np.ndarray
-    T_se: np.ndarray
-    R_mean: np.ndarray
-    R_se: np.ndarray
-    count: int
-    failures: list
+    (T, R), (T_se, R_se) = stats.mean, stats.stderr
+    depth = np.array([optical_depth(t) for t in T])
+    return _ensemble({"theta": thetas, "depth": depth, "T_mean": T,
+                      "T_se": T_se, "R_mean": R, "R_se": R_se}, stats)
 
 
 def filling_scan(n_sites, params: PhysicalParams, fillings,
                  mode=FillingMode.FIXED_COUNT, n_samples=DEFAULT_SAMPLES,
-                 master_seed=0, workers=1, progress=None) -> FillingScan:
+                 master_seed=0, workers=1, progress=None) -> Ensemble:
     """Optical depth versus filling fraction at fixed lattice phase.
 
     The depth is -ln of the ensemble-averaged transmission, so the
     saturation of the curve at strong opacity reflects the averaged
-    observable, not a per-realization quantity.
+    observable, not a per-realization quantity.  Failures are recorded
+    by filling index.
     """
     fillings = np.asarray(fillings, dtype=float)
-    cols = {k: np.empty(fillings.size) for k in
-            ("depth", "T_mean", "T_se", "R_mean", "R_se")}
-    failures = []
-    count = 0
-    for i, p in enumerate(fillings):
-        lattice = LatticeSpec(n_sites, float(p), mode)
-        pt = point_ensemble(lattice, params, n_samples, master_seed, workers,
-                            progress=progress)
-        cols["depth"][i] = pt.depth
-        cols["T_mean"][i] = pt.T_mean
-        cols["T_se"][i] = pt.T_se
-        cols["R_mean"][i] = pt.R_mean
-        cols["R_se"][i] = pt.R_se
-        failures.extend((i, msg) for _, msg in pt.failures)
-        count = pt.count
-    return FillingScan(fillings, cols["depth"], cols["T_mean"], cols["T_se"],
-                       cols["R_mean"], cols["R_se"], count, failures)
-
-
-@dataclass(frozen=True)
-class RabiEnsemble:
-    times: np.ndarray
-    pe_mean: np.ndarray
-    pe_se: np.ndarray
-    count: int
-    failures: list
+    points = [kd_scan(LatticeSpec(n_sites, float(p), mode), params,
+                      [params.theta], n_samples, master_seed, workers, progress)
+              for p in fillings]
+    columns = {"filling": fillings}
+    for name in ("depth", "T_mean", "T_se", "R_mean", "R_se"):
+        columns[name] = np.array([pt.columns[name][0] for pt in points])
+    failures = [(i, msg) for i, pt in enumerate(points)
+                for _, msg in pt.failures]
+    count = points[-1].count if points else 0
+    return Ensemble(columns, count, master_seed, failures)
 
 
 def rabi_ensemble(geom: CavityGeometry, filling, params: PhysicalParams,
                   times, mode=FillingMode.FIXED_COUNT,
                   n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
-                  progress=None) -> RabiEnsemble:
+                  progress=None) -> Ensemble:
     times = np.asarray(times, dtype=float)
     stats = run_ensemble(rabi_kernel, n_samples, master_seed, workers,
                          args=(geom, filling, mode, params, times),
                          progress=progress)
-    return RabiEnsemble(times, stats.mean, stats.stderr, stats.count,
-                        stats.failures)
-
-
-@dataclass(frozen=True)
-class G2Ensemble:
-    taus: np.ndarray
-    g2: np.ndarray
-    g2_se: np.ndarray
-    port: str
-    average: str
-    count: int
-    failures: list
+    return _ensemble({"t": times, "pe_mean": stats.mean,
+                      "pe_se": stats.stderr}, stats)
 
 
 def g2_ensemble(lattice: LatticeSpec, params: PhysicalParams, taus,
                 port="transmitted", average="g2",
                 n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
-                progress=None) -> G2Ensemble:
+                progress=None) -> Ensemble:
     """Disorder-averaged photon correlations.
 
     ``average='g2'`` (default) averages each realization's normalized
@@ -309,18 +226,13 @@ def g2_ensemble(lattice: LatticeSpec, params: PhysicalParams, taus,
     intensities separately and takes the ratio, which weights
     realizations by their transmitted (or reflected) intensity.
     """
-    taus = np.asarray(taus, dtype=float)
-    if average == "g2":
-        stats = run_ensemble(g2_kernel, n_samples, master_seed, workers,
-                             args=(lattice, params, taus, port),
-                             progress=progress)
-        return G2Ensemble(taus, stats.mean, stats.stderr, port, average,
-                          stats.count, stats.failures)
-    if average != "G2":
+    if average not in ("g2", "G2"):
         raise ValueError("average must be 'g2' or 'G2'")
-    stats = run_ensemble(g2_raw_kernel, n_samples, master_seed, workers,
-                         args=(lattice, params, taus, port), progress=progress)
-    curve = stats.mean[0] / stats.mean[1]
-    se = stats.stderr[0] / stats.mean[1]
-    return G2Ensemble(taus, curve, se, port, average, stats.count,
-                      stats.failures)
+    taus = np.asarray(taus, dtype=float)
+    stats = run_ensemble(g2_kernel, n_samples, master_seed, workers,
+                         args=(lattice, params, taus, port, average),
+                         progress=progress)
+    g2, se = stats.mean, stats.stderr
+    if average == "G2":
+        g2, se = stats.mean[0] / stats.mean[1], stats.stderr[0] / stats.mean[1]
+    return _ensemble({"tau": taus, "g2_mean": g2, "g2_se": se}, stats)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class FillingMode(enum.Enum):
@@ -69,9 +69,6 @@ class PhysicalParams:
         """Rabi frequency Omega = E sqrt(gamma0/2) (v_g = 1)."""
         return self.drive_amp * math.sqrt(self.gamma0 / 2.0)
 
-    def with_delta(self, delta: float) -> "PhysicalParams":
-        return replace(self, delta=delta)
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -114,11 +111,6 @@ class Realization:
     def phases(self, theta: float):
         """Phase coordinates theta * m_j (monotone increasing for theta > 0)."""
         return [theta * m for m in self.occupied_sites]
-
-
-def positions_phases(real: Realization, theta: float):
-    """Collapse site indices to the only coordinate the physics uses."""
-    return real.phases(theta)
 
 
 TWO_PI = 2.0 * math.pi
@@ -182,41 +174,6 @@ class CavityChain:
     @property
     def n(self) -> int:
         return len(self.phases)
-
-
-def build_cavity(geom: CavityGeometry, filling: float, rng,
-                 mode: FillingMode = FillingMode.FIXED_COUNT) -> CavityChain:
-    """Draw one cavity realization: random mirror occupancy, center always present.
-
-    With filling 0 the chain degenerates to the bare central atom, whose
-    excited population must decay as exp(-(gamma0+gamma_prime) t).
-    """
-
-    if not 0.0 <= filling <= 1.0:
-        raise ValueError("filling must be in [0, 1]")
-    sides = []
-    for _ in range(2):
-        if mode is FillingMode.FIXED_COUNT:
-            k = int(math.floor(filling * geom.mirror_sites + 0.5))
-            occ = sorted(rng.choice(geom.mirror_sites, size=k, replace=False).tolist()) if k else []
-        else:
-            draw = rng.random(geom.mirror_sites)
-            occ = [i for i in range(geom.mirror_sites) if draw[i] < filling]
-        sides.append(occ)
-    left, right = sides
-    phases = [-(geom.theta0 + k * geom.theta) for k in reversed(left)]
-    phases.append(0.0)
-    center = len(phases) - 1
-    phases.extend(geom.theta0 + k * geom.theta for k in right)
-    return CavityChain(phases=tuple(phases), center=center)
-
-
-def single_atom_coeffs(delta: float, gamma_prime: float, gamma0: float = 1.0,
-                       det_shift: float = 0.0):
-    """Closed-form (t, r) of one atom; det_shift is its inhomogeneous offset."""
-    denom = (gamma0 + gamma_prime) / 2.0 - 1j * (delta - det_shift)
-    r = -(gamma0 / 2.0) / denom
-    return 1.0 + r, r
 
 
 def mirror_closed_form(n_atoms: int, delta: float, gamma_prime: float,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FillingMode, LatticeSpec, Realization
+from .model import (CavityChain, CavityGeometry, FillingMode, LatticeSpec,
+                    Realization)
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -53,3 +54,21 @@ def sample_realization(lattice: LatticeSpec, sigma_ih: float,
     sites = sample_occupancy(lattice, rng)
     dets = sample_detunings(len(sites), sigma_ih, rng)
     return Realization(occupied_sites=sites, detunings=dets)
+
+
+def build_cavity(geom: CavityGeometry, filling: float, rng,
+                 mode: FillingMode = FillingMode.FIXED_COUNT) -> CavityChain:
+    """Draw one cavity realization: random mirror occupancy, center always present.
+
+    Each mirror is drawn like a lattice of ``geom.mirror_sites`` sites,
+    left then right.  With filling 0 the chain degenerates to the bare
+    central atom, whose excited population must decay as
+    exp(-(gamma0+gamma_prime) t).
+    """
+    mirror = LatticeSpec(geom.mirror_sites, filling, mode)
+    left, right = sample_occupancy(mirror, rng), sample_occupancy(mirror, rng)
+    phases = [-(geom.theta0 + k * geom.theta) for k in reversed(left)]
+    phases.append(0.0)
+    center = len(phases) - 1
+    phases.extend(geom.theta0 + k * geom.theta for k in right)
+    return CavityChain(phases=tuple(phases), center=center)

@@ -11,7 +11,7 @@ import pytest
 
 import me_reference
 from wgqed.correlations import REFLECTED, TRANSMITTED, g2_curve
-from wgqed.ensemble import (g2_ensemble, point_ensemble, rabi_ensemble)
+from wgqed.ensemble import (g2_ensemble, kd_scan, rabi_ensemble)
 from wgqed.cli import main
 from wgqed.model import (CavityGeometry, LatticeSpec, PhysicalParams,
                          Realization, mirror_closed_form)
@@ -67,10 +67,12 @@ def test_peak_census_vs_loss():
 def test_thousand_site_bragg_mirror():
     lattice = LatticeSpec(1000, 0.6)
     params = PhysicalParams(theta=np.pi, gamma_prime=0.1)
-    pt = point_ensemble(lattice, params, n_samples=100, master_seed=12)
-    ok = abs(pt.R_mean - 0.9997) <= 0.001 and not pt.failures
+    pt = kd_scan(lattice, params, [params.theta], n_samples=100,
+                 master_seed=12)
+    R_mean = pt.columns["R_mean"][0]
+    ok = abs(R_mean - 0.9997) <= 0.001 and not pt.failures
     line = report("1000-site mirror reflectance", ok,
-                  "mean R %.5f, want 0.9997 +- 0.001" % pt.R_mean)
+                  "mean R %.5f, want 0.9997 +- 0.001" % R_mean)
     assert ok, line
 
 
@@ -189,10 +191,11 @@ def test_g2_bunching_and_beats():
         ens = g2_ensemble(LatticeSpec(100, p), params, taus,
                           port=TRANSMITTED, **lattice_args)
         assert not ens.failures
-        finite &= bool(np.isfinite(ens.g2).all()
-                       and np.isfinite(ens.g2_se).all())
-        zero_delay[p] = ens.g2[0]
-        curves[p] = ens.g2
+        g2 = ens.columns["g2_mean"]
+        finite &= bool(np.isfinite(g2).all()
+                       and np.isfinite(ens.columns["g2_se"]).all())
+        zero_delay[p] = g2[0]
+        curves[p] = g2
     bunched = all(v > 1.0 for v in zero_delay.values())
     ordered = (zero_delay[0.1] < zero_delay[0.2] < zero_delay[0.3]
                < zero_delay[0.4])
@@ -253,14 +256,15 @@ def test_cavity_rabi_revivals():
     for p in (0.4, 0.6, 0.8, 1.0):
         ens = rabi_ensemble(geom, p, params, times, n_samples=20,
                             master_seed=8)
-        heights[p] = first_revival(ens.pe_mean)
+        heights[p] = first_revival(ens.columns["pe_mean"])
         if p == 1.0:
-            revivals = count_local_maxima(ens.pe_mean)
+            revivals = count_local_maxima(ens.columns["pe_mean"])
     ordered = heights[1.0] > heights[0.8] > heights[0.6] > heights[0.4]
 
     bare = rabi_ensemble(geom, 0.0, params, times, n_samples=1,
                          master_seed=8)
-    decay_err = float(np.max(np.abs(bare.pe_mean - np.exp(-1.1 * times))))
+    decay_err = float(np.max(np.abs(bare.columns["pe_mean"]
+                                    - np.exp(-1.1 * times))))
 
     ok = revivals >= 2 and ordered and decay_err < 1e-8
     line = report(
@@ -279,20 +283,20 @@ def test_broadening_flattens_resonance():
     for sigma in sigmas:
         base = dict(theta=np.pi, gamma_prime=0.1, sigma_ih=sigma)
         lattice = LatticeSpec(100, 0.8)
-        resonant.append(point_ensemble(
-            lattice, PhysicalParams(delta=0.0, **base),
-            n_samples=200, master_seed=21))
-        detuned.append(point_ensemble(
-            lattice, PhysicalParams(delta=10.0, **base),
-            n_samples=200, master_seed=21))
-    r0 = [pt.R_mean for pt in resonant]
+        resonant.append(kd_scan(
+            lattice, PhysicalParams(delta=0.0, **base), [np.pi],
+            n_samples=200, master_seed=21).columns)
+        detuned.append(kd_scan(
+            lattice, PhysicalParams(delta=10.0, **base), [np.pi],
+            n_samples=200, master_seed=21).columns)
+    r0 = [pt["R_mean"][0] for pt in resonant]
     decreasing = all(a > b for a, b in zip(r0, r0[1:]))
     # far off resonance the four means must be indistinguishable at the
     # run's statistical resolution: their spread stays inside a 2-SE band
     # (sigma=0 is a deterministic realization with SE exactly 0, so any
     # per-pair comparison would demand exact equality)
-    r10 = [pt.R_mean for pt in detuned]
-    band = 2.0 * max(pt.R_se for pt in detuned)
+    r10 = [pt["R_mean"][0] for pt in detuned]
+    band = 2.0 * max(pt["R_se"][0] for pt in detuned)
     spread = max(r10) - min(r10)
     agree = spread <= band
     ok = decreasing and agree

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,56 @@ def test_spectrum_smoke(tmp_path):
     assert meta["master_seed"] == 7
     assert meta["samples_ok"] == 3
     assert meta["config"]["n_sites"] == 10
+
+
+SMALL_ARGS = {
+    "spectrum": ["--n-sites", "10", "--filling", "0.5", "--samples", "2",
+                 "--delta-steps", "3"],
+    "kd-scan": ["--n-sites", "10", "--filling", "0.5", "--samples", "2",
+                "--theta-steps", "3"],
+    "filling-scan": ["--n-sites", "10", "--samples", "2", "--p-steps", "2"],
+    "rabi": ["--mirror-sites", "4", "--samples", "2", "--t-steps", "5"],
+    "g2": ["--n-sites", "8", "--filling", "0.5", "--theta", "0.8",
+           "--gamma-prime", "0.1", "--samples", "2", "--tau-steps", "3"],
+    "tm-compare": ["--n-sites", "10", "--filling", "0.5", "--delta-steps", "3"],
+}
+ENSEMBLE_META = ["config", "master_seed", "samples_ok"]
+LAYOUT = {
+    "spectrum": ("delta(gamma0) T_mean(1) T_se(1) R_mean(1) R_se(1) "
+                 "sum_mean(1)", {"delta": "gamma0"}, ENSEMBLE_META),
+    "kd-scan": ("theta(rad) depth(1) T_mean(1) T_se(1) R_mean(1) R_se(1)",
+                {"theta": "rad", "delta": "gamma0"}, ENSEMBLE_META),
+    "filling-scan": ("filling(1) depth(1) T_mean(1) T_se(1) R_mean(1) "
+                     "R_se(1)", {"delta": "gamma0"}, ENSEMBLE_META),
+    "rabi": ("t(1/gamma0) pe_mean(1) pe_se(1)", {"t": "1/gamma0"},
+             ENSEMBLE_META),
+    "g2": ("tau(1/gamma0) g2_mean(1) g2_se(1)", {"tau": "1/gamma0"},
+           ENSEMBLE_META),
+    "tm-compare": ("delta(gamma0) T_markov(1) R_markov(1) T_cascade(1) "
+                   "R_cascade(1) dT(1) dR(1)", {"delta": "gamma0"},
+                   ["config", "master_seed", "max_dR", "max_dT", "mean_dR",
+                    "mean_dT"]),
+}
+
+
+@pytest.mark.parametrize("command", list(LAYOUT))
+def test_result_file_layout(tmp_path, command):
+    """Column names and order, units and meta keys of every result file."""
+    columns_line, units, meta_keys = LAYOUT[command]
+    text, structured = tmp_path / "a.dat", tmp_path / "a.json"
+    assert main([command, *SMALL_ARGS[command], "--out", str(text)]) == 0
+    assert main([command, *SMALL_ARGS[command], "--format", "structured",
+                 "--out", str(structured)]) == 0
+    lines = text.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("# columns:")] == [
+        "# columns: " + columns_line]
+    _, meta = read_columns(text)
+    assert sorted(meta) == sorted(meta_keys + ["generated"])
+    payload = json.loads(structured.read_text())
+    assert payload["units"] == units
+    assert sorted(payload["meta"]) == meta_keys
+    assert sorted(payload["columns"]) == sorted(
+        tok.split("(")[0] for tok in columns_line.split())
 
 
 def test_empty_lattice_is_transparent(tmp_path):
@@ -104,6 +155,20 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     code = main(["spectrum", "--samples", "1", "--out",
                  str(tmp_path / "x.dat")])
     assert code == 3
+
+
+def test_g2_underflow_exits_3_without_writing(tmp_path, capsys):
+    out = tmp_path / "g2.dat"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["g2", "--n-sites", "60", "--filling", "1", "--theta",
+                     "pi/2", "--gamma-prime", "0.1", "--samples", "2",
+                     "--tau-steps", "5", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "g2 not finite" in err
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_version_flag(capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from wgqed.dynamics import (default_times, excited_population,
                             propagate_amplitudes)
-from wgqed.model import (CavityChain, CavityGeometry, PhysicalParams,
-                         build_cavity)
+from wgqed.model import CavityChain, CavityGeometry, PhysicalParams
+from wgqed.sampling import build_cavity
 from wgqed.solver import count_local_maxima, effective_hamiltonian
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from wgqed.correlations import default_taus
 from wgqed.ensemble import (filling_scan, g2_ensemble, kd_scan,
-                            point_ensemble, rabi_ensemble, run_ensemble,
-                            spectrum_ensemble)
+                            rabi_ensemble, run_ensemble, spectrum_ensemble)
 from wgqed.model import (CavityGeometry, FillingMode, LatticeSpec,
                          PhysicalParams)
 
@@ -67,22 +67,47 @@ def test_full_filling_has_zero_spread():
     time, so the standard error must vanish identically."""
     lattice = LatticeSpec(20, 1.0)
     params = PhysicalParams(theta=0.9, delta=0.5, gamma_prime=0.1)
-    pt = point_ensemble(lattice, params, n_samples=4, master_seed=3)
-    assert pt.T_se == 0.0 and pt.R_se == 0.0
-    assert 0.0 < pt.T_mean < 1.0
+    pt = kd_scan(lattice, params, [params.theta], n_samples=4,
+                 master_seed=3).columns
+    assert pt["T_se"][0] == 0.0 and pt["R_se"][0] == 0.0
+    assert 0.0 < pt["T_mean"][0] < 1.0
 
 
-def test_worker_count_does_not_change_results():
-    lattice = LatticeSpec(30, 0.6)
-    params = PhysicalParams(theta=1.2, gamma_prime=0.1, sigma_ih=0.5)
-    deltas = np.linspace(-2.0, 2.0, 9)
-    serial = spectrum_ensemble(lattice, params, deltas, n_samples=8,
-                               master_seed=17, workers=1)
-    pooled = spectrum_ensemble(lattice, params, deltas, n_samples=8,
-                               master_seed=17, workers=2)
-    assert np.array_equal(serial.T_mean, pooled.T_mean)
-    assert np.array_equal(serial.R_mean, pooled.R_mean)
-    assert np.array_equal(serial.T_se, pooled.T_se)
+TINY_RUNS = {
+    "spectrum": lambda **kw: spectrum_ensemble(
+        LatticeSpec(30, 0.6),
+        PhysicalParams(theta=1.2, gamma_prime=0.1, sigma_ih=0.5),
+        np.linspace(-2.0, 2.0, 9), n_samples=8, master_seed=17, **kw),
+    "kd-scan": lambda **kw: kd_scan(
+        LatticeSpec(20, 0.5), PhysicalParams(delta=0.3, gamma_prime=0.1),
+        (0.5, np.pi / 2, 4.0), n_samples=4, master_seed=2, **kw),
+    "filling-scan": lambda **kw: filling_scan(
+        20, PhysicalParams(theta=1.0, gamma_prime=0.1, sigma_ih=0.3),
+        (0.0, 0.5, 1.0), FillingMode.BERNOULLI, n_samples=3, master_seed=3,
+        **kw),
+    "rabi": lambda **kw: rabi_ensemble(
+        CavityGeometry(mirror_sites=6), 0.5, PhysicalParams(gamma_prime=0.1),
+        np.linspace(0.0, 4.0, 9), n_samples=3, master_seed=4, **kw),
+    # a lone lossless atom fails, so the failure list is compared too
+    "g2": lambda **kw: g2_ensemble(
+        LatticeSpec(3, 0.5, FillingMode.BERNOULLI), PhysicalParams(theta=1.0),
+        [0.0, 0.5, 1.0], n_samples=8, master_seed=0, average="g2", **kw),
+    "G2": lambda **kw: g2_ensemble(
+        LatticeSpec(8, 0.5), PhysicalParams(theta=0.8, gamma_prime=0.1),
+        [0.0, 0.5, 1.0], port="reflected", n_samples=3, master_seed=6,
+        average="G2", **kw),
+}
+
+
+@pytest.mark.parametrize("driver", list(TINY_RUNS))
+def test_worker_count_does_not_change_results(driver):
+    serial = TINY_RUNS[driver](workers=1)
+    pooled = TINY_RUNS[driver](workers=2)
+    assert list(serial.columns) == list(pooled.columns)
+    for name, values in serial.columns.items():
+        assert np.array_equal(values, pooled.columns[name]), name
+    assert serial.count == pooled.count
+    assert serial.failures == pooled.failures
 
 
 def test_ensemble_conservation_without_loss():
@@ -91,7 +116,7 @@ def test_ensemble_conservation_without_loss():
     deltas = np.linspace(-3.0, 3.0, 7)
     ens = spectrum_ensemble(lattice, params, deltas, n_samples=10,
                             master_seed=5)
-    assert np.max(np.abs(ens.sum_mean - 1.0)) < 1e-10
+    assert np.max(np.abs(ens.columns["sum_mean"] - 1.0)) < 1e-10
 
 
 def test_filling_scan_growth_then_plateau():
@@ -100,22 +125,23 @@ def test_filling_scan_growth_then_plateau():
     params = PhysicalParams(theta=1.0, delta=0.0, gamma_prime=0.1)
     scan = filling_scan(100, params, (0.1, 0.3, 0.5, 0.9), n_samples=30,
                         master_seed=9)
-    d = scan.depth
+    d = scan.columns["depth"]
     assert d[1] > d[0] + 5.0
     assert abs(d[3] - d[2]) < 3.0
-    assert scan.T_mean.shape == (4,)
+    assert scan.columns["T_mean"].shape == (4,)
 
 
 def test_kd_scan_mirror_symmetry_and_bragg_dip():
     lattice = LatticeSpec(100, 0.5)
     params = PhysicalParams(delta=0.0, gamma_prime=0.1)
     thetas = (1.0, np.pi / 2, np.pi, 2 * np.pi - 1.0)
-    scan = kd_scan(lattice, params, thetas, n_samples=20, master_seed=4)
+    scan = kd_scan(lattice, params, thetas, n_samples=20,
+                   master_seed=4).columns
     # theta -> 2*pi - theta is an exact symmetry on resonance
-    assert scan.T_mean[0] == scan.T_mean[3]
-    assert scan.R_mean[0] == scan.R_mean[3]
+    assert scan["T_mean"][0] == scan["T_mean"][3]
+    assert scan["R_mean"][0] == scan["R_mean"][3]
     # half-wave spacing is anomalously transparent compared to mid-gap
-    assert scan.depth[2] < scan.depth[1]
+    assert scan["depth"][2] < scan["depth"][1]
 
 
 def test_rabi_without_mirrors_is_bare_decay():
@@ -123,8 +149,9 @@ def test_rabi_without_mirrors_is_bare_decay():
     params = PhysicalParams(theta=geom.theta, gamma_prime=0.1)
     times = np.linspace(0.0, 5.0, 40)
     ens = rabi_ensemble(geom, 0.0, params, times, n_samples=2, master_seed=1)
-    assert np.allclose(ens.pe_mean, np.exp(-1.1 * times), atol=1e-8)
-    assert np.all(ens.pe_se == 0.0)
+    assert np.allclose(ens.columns["pe_mean"], np.exp(-1.1 * times),
+                       atol=1e-8)
+    assert np.all(ens.columns["pe_se"] == 0.0)
 
 
 def test_g2_average_modes_differ():
@@ -136,8 +163,9 @@ def test_g2_average_modes_differ():
     weighted = g2_ensemble(lattice, params, taus, n_samples=6, master_seed=2,
                            average="G2")
     assert plain.count == weighted.count == 6
-    assert np.all(plain.g2 > 0.0) and np.all(weighted.g2 > 0.0)
-    assert not np.array_equal(plain.g2, weighted.g2)
+    plain, weighted = plain.columns["g2_mean"], weighted.columns["g2_mean"]
+    assert np.all(plain > 0.0) and np.all(weighted > 0.0)
+    assert not np.array_equal(plain, weighted)
     with pytest.raises(ValueError):
         g2_ensemble(lattice, params, taus, n_samples=2, average="bogus")
 
@@ -148,6 +176,17 @@ def test_g2_divergent_baseline_raises():
     params = PhysicalParams(theta=1.0, gamma_prime=0.0)
     with pytest.raises(RuntimeError, match="divergent"):
         g2_ensemble(lattice, params, [0.0], n_samples=3, master_seed=0)
+
+
+def test_g2_underflowing_baseline_fails():
+    """Sixty full sites at the mid-gap phase: the cascade baseline is about
+    1e-78, so its fourth power underflows and the curve cannot be
+    normalized; the realization must fail instead of returning inf."""
+    lattice = LatticeSpec(60, 1.0)
+    params = PhysicalParams(theta=np.pi / 2, gamma_prime=0.1)
+    with pytest.raises(RuntimeError, match=r"g2 not finite: \|transmitted "
+                                           r"baseline\| = 1\.\d+e-78"):
+        g2_ensemble(lattice, params, default_taus(30.0, 5), n_samples=2)
 
 
 def test_progress_callback_sees_every_sample():

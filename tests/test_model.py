@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wgqed.model import (CavityGeometry, FillingMode, LatticeSpec,
-                         PhysicalParams, Realization, build_cavity,
-                         mirror_closed_form, reduce_theta,
-                         single_atom_coeffs)
+                         PhysicalParams, Realization, mirror_closed_form,
+                         reduce_theta)
+from wgqed.sampling import build_cavity
+from wgqed.transfer_matrix import atom_coefficients
 
 
 def test_params_validation():
@@ -76,18 +77,9 @@ def test_reduce_theta_wraps_full_turns():
     assert not conj
 
 
-def test_single_atom_closed_form():
-    t, r = single_atom_coeffs(0.0, 0.1)
-    assert r == pytest.approx(-0.5 / 0.55, rel=1e-15)
-    assert t == pytest.approx(1.0 + r, rel=1e-15)
-    # far detuned: transparent
-    t, r = single_atom_coeffs(1e6, 0.0)
-    assert abs(t) == pytest.approx(1.0, abs=1e-6)
-
-
 def test_mirror_closed_form_reduces_to_single_atom():
     T1, R1 = mirror_closed_form(1, 0.4, 0.2)
-    t, r = single_atom_coeffs(0.4, 0.2)
+    t, r = atom_coefficients(0.4, 0.2)
     assert T1 == pytest.approx(abs(t) ** 2, rel=1e-14)
     assert R1 == pytest.approx(abs(r) ** 2, rel=1e-14)
 

@@ -22,6 +22,9 @@ def test_atom_coefficients_closed_form():
     assert t == pytest.approx(1.0 + r, rel=1e-15)
     t, r = atom_coefficients(np.array([0.0, 1.0]), 0.0, det_shift=1.0)
     assert abs(r[1]) == pytest.approx(1.0, rel=1e-15)  # on its shifted resonance
+    # far detuned: transparent
+    t, r = atom_coefficients(1e6, 0.0)
+    assert abs(t) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_gap_phase_retardation():
