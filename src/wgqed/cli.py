@@ -35,14 +35,31 @@ def parse_theta(text):
     """Lattice phase from '0.95pi', 'pi/2', '2pi/3', or a plain number."""
     s = str(text).strip().lower().replace(" ", "").replace("*", "")
     m = re.fullmatch(r"([0-9]*\.?[0-9]*)pi(?:/([0-9]*\.?[0-9]+))?", s)
-    if m:
-        coef = float(m.group(1)) if m.group(1) else 1.0
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return coef * math.pi / div
     try:
-        return float(s)
-    except ValueError:
+        if m:
+            coef = float(m.group(1)) if m.group(1) else 1.0
+            div = float(m.group(2)) if m.group(2) else 1.0
+            value = coef * math.pi / div
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("cannot parse angle %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("angle %r is not finite" % text)
+    return value
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its rejection of a setting as a
+    ConfigError.
+
+    Every command builds its inputs through here before any work starts,
+    so a bad setting exits 2 instead of failing mid-run.
+    """
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(str(exc))
 
 
 def _default_workers():
@@ -93,16 +110,17 @@ def _add_delta_range(p):
 
 
 def _params(ns, delta=0.0, eta=0.0):
-    return PhysicalParams(theta=ns.theta, gamma_prime=ns.gamma_prime,
-                          sigma_ih=ns.sigma_ih, drive_amp=ns.drive_amp,
-                          delta=delta, eta=eta)
+    return _checked(PhysicalParams, theta=ns.theta,
+                    gamma_prime=ns.gamma_prime, sigma_ih=ns.sigma_ih,
+                    drive_amp=ns.drive_amp, delta=delta, eta=eta)
 
 
-def _lattice(ns):
-    try:
-        return LatticeSpec(ns.n_sites, ns.filling, FillingMode(ns.filling_mode))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _lattice(ns, n_sites=None, filling=None):
+    """The lattice of the flags, or with ``n_sites``/``filling`` replaced."""
+    return _checked(LatticeSpec,
+                    ns.n_sites if n_sites is None else n_sites,
+                    ns.filling if filling is None else filling,
+                    FillingMode(ns.filling_mode))
 
 
 def _progress(label):
@@ -133,6 +151,8 @@ def _write(ns, names, columns, meta, units):
 
 def _run_args(ns):
     """Sample count, seed, workers and progress for an ensemble driver."""
+    if ns.samples < 1:
+        raise ConfigError("--samples must be >= 1")
     return dict(n_samples=ns.samples, master_seed=ns.seed, workers=ns.workers,
                 progress=_progress(ns.command))
 
@@ -149,22 +169,24 @@ def _write_ensemble(ns, res, units):
 
 
 def cmd_spectrum(ns):
-    deltas = np.linspace(ns.delta_min, ns.delta_max, ns.delta_steps)
+    deltas = _checked(np.linspace, ns.delta_min, ns.delta_max, ns.delta_steps)
     res = ensemble.spectrum_ensemble(_lattice(ns), _params(ns), deltas,
                                      **_run_args(ns))
     return _write_ensemble(ns, res, {"delta": "gamma0"})
 
 
 def cmd_kd_scan(ns):
-    thetas = np.linspace(parse_theta(ns.theta_min), parse_theta(ns.theta_max),
-                         ns.theta_steps)
+    thetas = _checked(np.linspace, _checked(parse_theta, ns.theta_min),
+                      _checked(parse_theta, ns.theta_max), ns.theta_steps)
     res = ensemble.kd_scan(_lattice(ns), _params(ns, delta=ns.delta), thetas,
                            **_run_args(ns))
     return _write_ensemble(ns, res, {"theta": "rad", "delta": "gamma0"})
 
 
 def cmd_filling_scan(ns):
-    fillings = np.linspace(ns.p_min, ns.p_max, ns.p_steps)
+    fillings = _checked(np.linspace, ns.p_min, ns.p_max, ns.p_steps)
+    for p in fillings:
+        _lattice(ns, filling=float(p))
     res = ensemble.filling_scan(ns.n_sites, _params(ns, delta=ns.delta),
                                 fillings, FillingMode(ns.filling_mode),
                                 **_run_args(ns))
@@ -172,25 +194,26 @@ def cmd_filling_scan(ns):
 
 
 def cmd_rabi(ns):
-    geom = CavityGeometry(mirror_sites=ns.mirror_sites, theta=ns.theta,
-                          theta0=ns.theta0)
-    times = default_times(ns.t_max, ns.t_steps)
+    geom = _checked(CavityGeometry, ns.mirror_sites, ns.theta, ns.theta0)
+    _lattice(ns, n_sites=geom.mirror_sites)     # each mirror's filling
+    times = _checked(default_times, ns.t_max, ns.t_steps)
     res = ensemble.rabi_ensemble(geom, ns.filling, _params(ns), times,
                                  FillingMode(ns.filling_mode), **_run_args(ns))
     return _write_ensemble(ns, res, {"t": "1/gamma0"})
 
 
 def cmd_g2(ns):
-    taus = default_taus(ns.tau_max, ns.tau_steps)
+    taus = _checked(default_taus, ns.tau_max, ns.tau_steps)
     res = ensemble.g2_ensemble(_lattice(ns), _params(ns, delta=ns.delta),
                                taus, ns.port, ns.average, **_run_args(ns))
     return _write_ensemble(ns, res, {"tau": "1/gamma0"})
 
 
 def cmd_tm_compare(ns):
-    real = sample_realization(_lattice(ns), ns.sigma_ih, ns.seed, 0)
-    deltas = np.linspace(ns.delta_min, ns.delta_max, ns.delta_steps)
-    res = compare_markovian(real, _params(ns, eta=ns.eta), deltas)
+    lattice, params = _lattice(ns), _params(ns, eta=ns.eta)
+    deltas = _checked(np.linspace, ns.delta_min, ns.delta_max, ns.delta_steps)
+    real = sample_realization(lattice, ns.sigma_ih, ns.seed, 0)
+    res = compare_markovian(real, params, deltas)
     _write(ns, ["delta", "T_markov", "R_markov", "T_cascade", "R_cascade",
                 "dT", "dR"],
            [res.deltas, res.T_markov, res.R_markov, res.T_cascade,

@@ -17,48 +17,140 @@ over as the g2 baseline below ``STABLE_AMP_FLOOR``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve, schur
+from scipy.linalg.lapack import ztrsyl
 
 from .dynamics import propagate_amplitudes
 from .model import PhysicalParams, Realization
-from .solver import _amplitudes, effective_hamiltonian, solve_with_refinement
+from .solver import (RESIDUAL_TOL, SolverError, _amplitudes,
+                     effective_hamiltonian, solve_with_refinement)
 from .transfer_matrix import tm_scatter
 
 STABLE_AMP_FLOOR = 1e-8
+
+# Pair solve, relative to the Frobenius norm of H1.  Below the floor the
+# smallest |T_aa + T_bb| is rounding noise on an exact zero.  The shift
+# is large enough for the shifted solve to stay accurate and small
+# enough for one or two refinement steps to remove it: on lossless
+# resonant chains up to n = 100, relative shifts of 1e-9 and 1e-8
+# converge in about one step, while 1e-7 can stall above the gate.
+PAIR_SINGULAR_FLOOR = 1e-12
+PAIR_SHIFT = 1e-9
+PAIR_REFINE_STEPS = 4
 
 TRANSMITTED = "transmitted"
 REFLECTED = "reflected"
 
 
-def pair_indices(n: int):
-    """Lexicographic (j, k) with j < k indexing the two-excitation basis."""
-    return np.triu_indices(n, k=1)
+def _sylvester(t, c):
+    """Y solving T Y + Y T = C for upper-triangular T.
 
-
-def build_h2(phases, detunings, params: PhysicalParams) -> np.ndarray:
-    """Two-excitation effective Hamiltonian in the lexicographic pair basis.
-
-    Pairs couple when they share exactly one atom; the matrix element is
-    the single-excitation hop between the two unshared atoms.  Double
-    occupation of one atom does not exist (two-level saturation), which
-    is what makes the chain a nonlinearity at the two-photon level.
+    ztrsyl perturbs near-coincident eigenvalues rather than failing
+    (info = 1); the residual gate of solve_pairs judges the outcome.
     """
-    phi = np.asarray(phases, dtype=float)
-    det = np.asarray(detunings, dtype=float)
-    n = phi.size
-    jj, kk = pair_indices(n)
-    hop = np.exp(1j * np.abs(phi[:, None] - phi[None, :]))
-    j1, k1 = jj[:, None], kk[:, None]
-    j2, k2 = jj[None, :], kk[None, :]
-    h2 = (j1 == j2) * hop[k1, k2] + (j1 == k2) * hop[k1, j2] \
-        + (k1 == j2) * hop[j1, k2] + (k1 == k2) * hop[j1, j2]
-    h2 *= -0.5j * params.gamma0
-    dtil = params.delta - det
-    h2[np.diag_indices(jj.size)] += -(dtil[jj] + dtil[kk]) \
-        - 1j * params.gamma_prime
-    return h2
+    y, scale, _ = ztrsyl(t, t, c)
+    return y / scale
+
+
+def _diag_back(q, y):
+    """diag(Q Y Q^H)."""
+    return np.einsum("ja,ja->j", q @ y, q.conj())
+
+
+def _pair_factor(h1):
+    """(T, Q, LU of the multiplier matrix) for the pair equation.
+
+    H1 = Q T Q^H is the complex Schur factor, shifted when H1 (+) H1 is
+    singular.  Column m of the multiplier matrix is diag(S(e_m e_m^T)),
+    S the Sylvester solve: n triangular solves with rank-1 right-hand
+    sides.
+    """
+    n = h1.shape[0]
+    t, q = schur(h1, output="complex")
+    norm = np.linalg.norm(h1)
+    eig = np.diag(t)
+    if np.abs(eig[:, None] + eig[None, :]).min() < PAIR_SINGULAR_FLOOR * norm:
+        t = t - 0.5j * PAIR_SHIFT * norm * np.eye(n)
+    qh = q.conj().T
+    mult = np.empty((n, n), dtype=complex)
+    for m in range(n):
+        mult[:, m] = _diag_back(q, _sylvester(t, np.outer(qh[:, m], q[m])))
+    return t, q, lu_factor(mult)
+
+
+def _pair_solve(factor, rhs):
+    """Symmetric D with zero diagonal solving H1 D + D H1 = rhs off the
+    diagonal (with the shifted factor, (H2 - i shift) d = rhs)."""
+    t, q, lu = factor
+    qh = q.conj().T
+    y = _sylvester(t, qh @ rhs @ q)
+    lam = lu_solve(lu, -_diag_back(q, y))
+    y += _sylvester(t, qh @ (lam[:, None] * q))
+    d = q @ y @ qh
+    d = 0.5 * (d + d.T)
+    d[np.diag_indices_from(d)] = 0.0
+    return d
+
+
+def _pair_residual(h1, r, d):
+    """Off-diagonal R - H1 D - D H1 for symmetric H1 and D."""
+    a = h1 @ d
+    e = r - a - a.T
+    e[np.diag_indices_from(e)] = 0.0
+    return e
+
+
+def solve_pairs(h1, w, c_tilde):
+    """Scaled pair amplitudes D of the two-excitation steady state.
+
+    D is the symmetric n x n matrix of the hard-core pair amplitudes,
+    zero on the diagonal.  For j != k the pair equation is
+    (H1 D + D H1)_jk = R_jk with R = c w^T + w c^T: pairs sharing one
+    atom couple through the single-excitation hop, and no atom holds two
+    excitations.  It is solved as the Sylvester equation
+    H1 D + D H1 = R + diag(lambda), with the n multipliers lambda fixed
+    by diag(D) = 0, on one complex Schur factor of H1: O(n^2) memory and
+    O(n^4) time.
+
+    A lossless chain on resonance can make H1 (+) H1 exactly singular
+    while the pair equation stays consistent, with a null space dark to
+    both ports.  The Schur factor is then shifted by -i PAIR_SHIFT/2
+    (relative), which makes the solve a preconditioner for
+    (H2 - i shift)^-1, and refinement against the exact residual
+    removes the shift.
+
+    Returns (D, relative residual of the pair equation).  Raises
+    SolverError when the residual exceeds RESIDUAL_TOL or is not finite.
+    """
+    r = np.outer(c_tilde, w) + np.outer(w, c_tilde)
+    r[np.diag_indices_from(r)] = 0.0
+    scale = np.linalg.norm(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
+        with np.errstate(all="ignore"):
+            try:
+                factor = _pair_factor(h1)
+                d = _pair_solve(factor, r)
+                err = _pair_residual(h1, r, d)
+                for _ in range(PAIR_REFINE_STEPS):
+                    d = d + _pair_solve(factor, err)
+                    err = _pair_residual(h1, r, d)
+                    res = float(np.linalg.norm(err) / scale) \
+                        if scale > 0 else 0.0
+                    if res <= RESIDUAL_TOL:
+                        break
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                # ValueError: scipy rejects the non-finite values that a
+                # singular multiplier matrix produces
+                raise SolverError("two-excitation solve failed: %s" % exc)
+    if not res <= RESIDUAL_TOL:
+        raise SolverError("two-excitation residual %.3g exceeds %.1g"
+                          % (res, RESIDUAL_TOL))
+    return d, res
 
 
 @dataclass(frozen=True)
@@ -82,16 +174,6 @@ def _singles(phases, detunings, params):
     return h1, w, c_tilde
 
 
-def _pairs(phases, detunings, params, w, c_tilde):
-    jj, kk = pair_indices(len(phases))
-    if jj.size == 0:
-        return jj, kk, np.zeros(0, dtype=complex)
-    h2 = build_h2(phases, detunings, params)
-    rhs = w[kk] * c_tilde[jj] + w[jj] * c_tilde[kk]
-    d_tilde, _ = solve_with_refinement(h2, rhs, label="two-excitation")
-    return jj, kk, d_tilde
-
-
 def steady_state_truncated(real: Realization,
                            params: PhysicalParams) -> TruncatedState:
     """Physical amplitudes (drive included) of the truncated steady state."""
@@ -99,13 +181,10 @@ def steady_state_truncated(real: Realization,
         return TruncatedState(1.0 + 0.0j, np.zeros(0, dtype=complex),
                               np.zeros((0, 0), dtype=complex))
     phases = np.asarray(real.phases(params.theta), dtype=float)
-    _, w, c_tilde = _singles(phases, real.detunings, params)
-    jj, kk, d_tilde = _pairs(phases, real.detunings, params, w, c_tilde)
+    h1, w, c_tilde = _singles(phases, real.detunings, params)
+    d_tilde, _ = solve_pairs(h1, w, c_tilde)
     omega = params.omega
-    c2 = np.zeros((real.n, real.n), dtype=complex)
-    c2[jj, kk] = omega ** 2 * d_tilde
-    c2[kk, jj] = omega ** 2 * d_tilde
-    return TruncatedState(1.0 + 0.0j, omega * c_tilde, c2)
+    return TruncatedState(1.0 + 0.0j, omega * c_tilde, omega ** 2 * d_tilde)
 
 
 @dataclass(frozen=True)
@@ -142,16 +221,13 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
     phases = np.asarray(real.phases(params.theta), dtype=float)
     h1, w, c_tilde = _singles(phases, real.detunings, params)
     t_amp, r_amp = _amplitudes(c_tilde, w, g0)
-    jj, kk, d_tilde = _pairs(phases, real.detunings, params, w, c_tilde)
+    d_tilde, _ = solve_pairs(h1, w, c_tilde)
 
     if port == TRANSMITTED:
         probe = np.conj(w)
     else:
         probe = w
-    contraction = np.zeros(real.n, dtype=complex)
-    if d_tilde.size:
-        np.add.at(contraction, jj, probe[kk] * d_tilde)
-        np.add.at(contraction, kk, probe[jj] * d_tilde)
+    contraction = d_tilde @ probe
 
     base = t_amp if port == TRANSMITTED else r_amp
     source = "steady-state"

@@ -24,8 +24,9 @@ def test_parse_theta_forms():
     assert parse_theta(" 1.5 ") == 1.5
     assert parse_theta(1.5) == 1.5
     import argparse
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_theta("about pi")
+    for bad in ("about pi", "2pi/0", "nan", "inf", "-inf"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_theta(bad)
 
 
 def test_spectrum_smoke(tmp_path):
@@ -145,6 +146,44 @@ def test_invalid_filling_exits_2(tmp_path):
     code = main(["spectrum", "--filling", "1.5", "--samples", "1",
                  "--out", str(tmp_path / "x.dat")])
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["filling-scan", "--n-sites", "5", "--samples", "1", "--p-max", "1.5",
+     "--p-steps", "2"],
+    ["rabi", "--mirror-sites", "3", "--filling", "1.5", "--samples", "1",
+     "--t-steps", "3"],
+    ["g2", "--theta", "2pi/0", "--samples", "1"],
+    ["spectrum", "--samples", "0"],
+    ["spectrum", "--gamma-prime", "-1", "--samples", "1"],
+    ["rabi", "--mirror-sites", "0", "--samples", "1"],
+    ["spectrum", "--theta", "nan", "--samples", "1"],
+], ids=["filling-scan-p-max", "rabi-filling", "theta-div-zero", "samples-0",
+        "negative-gamma-prime", "mirror-sites-0", "theta-nan"])
+def test_config_errors_exit_2(tmp_path, capsys, args):
+    """Bad settings exit 2 before any work: no traceback, no output file."""
+    out = tmp_path / "x.dat"
+    try:
+        code = main([*args, "--out", str(out)])
+    except SystemExit as exc:     # rejected by the argument parser
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_g2_defaults_beyond_dense_pair_ceiling(tmp_path):
+    """The default chain (100 atoms, theta = pi, lossless) has 4950 pairs,
+    beyond what a dense pair matrix allows; a lossless Bragg mirror
+    reflects pairs as it reflects single photons."""
+    out = tmp_path / "g2.dat"
+    code = main(["g2", "--port", "reflected", "--samples", "2",
+                 "--tau-steps", "20", "--out", str(out)])
+    assert code == 0
+    data, meta = read_columns(out)
+    assert meta["samples_ok"] == 2
+    assert np.all(np.isfinite(data["g2_mean"]))
+    assert np.allclose(data["g2_mean"], 1.0, rtol=1e-9)
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
