@@ -62,6 +62,15 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc))
 
 
+def _grid(start, stop, steps):
+    """``np.linspace(start, stop, steps)``, unless a point is not finite."""
+    with np.errstate(all="ignore"):
+        grid = np.linspace(start, stop, steps)
+    if not np.isfinite(np.r_[start, stop, grid]).all():
+        raise ValueError("grid from %r to %r is not finite" % (start, stop))
+    return grid
+
+
 def _default_workers():
     try:
         return max(1, int(os.environ.get("WGQED_WORKERS", "1")))
@@ -169,14 +178,14 @@ def _write_ensemble(ns, res, units):
 
 
 def cmd_spectrum(ns):
-    deltas = _checked(np.linspace, ns.delta_min, ns.delta_max, ns.delta_steps)
+    deltas = _checked(_grid, ns.delta_min, ns.delta_max, ns.delta_steps)
     res = ensemble.spectrum_ensemble(_lattice(ns), _params(ns), deltas,
                                      **_run_args(ns))
     return _write_ensemble(ns, res, {"delta": "gamma0"})
 
 
 def cmd_kd_scan(ns):
-    thetas = _checked(np.linspace, _checked(parse_theta, ns.theta_min),
+    thetas = _checked(_grid, _checked(parse_theta, ns.theta_min),
                       _checked(parse_theta, ns.theta_max), ns.theta_steps)
     res = ensemble.kd_scan(_lattice(ns), _params(ns, delta=ns.delta), thetas,
                            **_run_args(ns))
@@ -184,7 +193,7 @@ def cmd_kd_scan(ns):
 
 
 def cmd_filling_scan(ns):
-    fillings = _checked(np.linspace, ns.p_min, ns.p_max, ns.p_steps)
+    fillings = _checked(_grid, ns.p_min, ns.p_max, ns.p_steps)
     for p in fillings:
         _lattice(ns, filling=float(p))
     res = ensemble.filling_scan(ns.n_sites, _params(ns, delta=ns.delta),
@@ -211,7 +220,7 @@ def cmd_g2(ns):
 
 def cmd_tm_compare(ns):
     lattice, params = _lattice(ns), _params(ns, eta=ns.eta)
-    deltas = _checked(np.linspace, ns.delta_min, ns.delta_max, ns.delta_steps)
+    deltas = _checked(_grid, ns.delta_min, ns.delta_max, ns.delta_steps)
     real = sample_realization(lattice, ns.sigma_ih, ns.seed, 0)
     res = compare_markovian(real, params, deltas)
     _write(ns, ["delta", "T_markov", "R_markov", "T_cascade", "R_cascade",

@@ -17,12 +17,9 @@ over as the g2 baseline below ``STABLE_AMP_FLOOR``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, schur
-from scipy.linalg.lapack import ztrsyl
 
 from .dynamics import propagate_amplitudes
 from .model import PhysicalParams, Realization
@@ -32,125 +29,109 @@ from .transfer_matrix import tm_scatter
 
 STABLE_AMP_FLOOR = 1e-8
 
-# Pair solve, relative to the Frobenius norm of H1.  Below the floor the
-# smallest |T_aa + T_bb| is rounding noise on an exact zero.  The shift
-# is large enough for the shifted solve to stay accurate and small
-# enough for one or two refinement steps to remove it: on lossless
-# resonant chains up to n = 100, relative shifts of 1e-9 and 1e-8
-# converge in about one step, while 1e-7 can stall above the gate.
-PAIR_SINGULAR_FLOOR = 1e-12
-PAIR_SHIFT = 1e-9
-PAIR_REFINE_STEPS = 4
-
 TRANSMITTED = "transmitted"
 REFLECTED = "reflected"
 
 
-def _sylvester(t, c):
-    """Y solving T Y + Y T = C for upper-triangular T.
+def _pair_system(d, s, gamma0):
+    """CSC matrix of the real-space pair system of ``solve_pairs``.
 
-    ztrsyl perturbs near-coincident eigenvalues rather than failing
-    (info = 1); the residual gate of solve_pairs judges the outcome.
+    Unknowns, and rows in the same order: D_jk (j < k, lexicographic),
+    then A_jk and B_jk over the n x n grid, row-major.  D_jj = 0 is
+    never an unknown.
     """
-    y, scale, _ = ztrsyl(t, t, c)
-    return y / scale
+    from scipy.sparse import csc_matrix
+
+    n = d.size
+    jj, kk = np.triu_indices(n, k=1)
+    pairs = np.arange(jj.size)
+    pid = np.full((n, n), -1)
+    pid[jj, kk] = pid[kk, jj] = pairs
+    ia = pairs.size + np.arange(n * n).reshape(n, n)
+    ib = ia + n * n
+    step = np.broadcast_to(s[:, None], (n - 1, n))
+    off, nxt = pid >= 0, pid[1:] >= 0
+    blocks = [(pairs, pairs, d[jj] + d[kk])]    # (rows, columns, values)
+    blocks += [(pairs, col, -0.5j * gamma0)
+               for col in (ia[jj, kk], ib[jj, kk], ia[kk, jj], ib[kk, jj])]
+    blocks += [(ia, ia, 1.0), (ia[1:], ia[:-1], -step),
+               (ia[off], pid[off], -1.0), (ib, ib, 1.0),
+               (ib[:-1], ib[1:], -step),
+               (ib[:-1][nxt], pid[1:][nxt], -step[nxt])]
+    rows, cols, vals = (np.concatenate(part) for part in zip(
+        *[(r.ravel(), c.ravel(), np.broadcast_to(v, r.shape).ravel())
+          for r, c, v in blocks]))
+    size = pairs.size + 2 * n * n
+    return csc_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def _diag_back(q, y):
-    """diag(Q Y Q^H)."""
-    return np.einsum("ja,ja->j", q @ y, q.conj())
+def _pair_residual(d, s, gamma0, r, dmat):
+    """Relative off-diagonal residual of the pair equation, in O(n^2):
+    G D = A + B from the running sums of ``solve_pairs``."""
+    a, b = dmat.copy(), np.zeros_like(dmat)
+    for j in range(1, d.size):
+        a[j] += s[j - 1] * a[j - 1]
+    for j in range(d.size - 2, -1, -1):
+        b[j] = s[j] * (b[j + 1] + dmat[j + 1])
+    err = r - (d[:, None] + d[None, :]) * dmat \
+        + 0.5j * gamma0 * (a + b + (a + b).T)
+    err[np.diag_indices_from(err)] = 0.0
+    return float(np.linalg.norm(err) / np.linalg.norm(r)) if r.any() else 0.0
 
 
-def _pair_factor(h1):
-    """(T, Q, LU of the multiplier matrix) for the pair equation.
-
-    H1 = Q T Q^H is the complex Schur factor, shifted when H1 (+) H1 is
-    singular.  Column m of the multiplier matrix is diag(S(e_m e_m^T)),
-    S the Sylvester solve: n triangular solves with rank-1 right-hand
-    sides.
-    """
-    n = h1.shape[0]
-    t, q = schur(h1, output="complex")
-    norm = np.linalg.norm(h1)
-    eig = np.diag(t)
-    if np.abs(eig[:, None] + eig[None, :]).min() < PAIR_SINGULAR_FLOOR * norm:
-        t = t - 0.5j * PAIR_SHIFT * norm * np.eye(n)
-    qh = q.conj().T
-    mult = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        mult[:, m] = _diag_back(q, _sylvester(t, np.outer(qh[:, m], q[m])))
-    return t, q, lu_factor(mult)
-
-
-def _pair_solve(factor, rhs):
-    """Symmetric D with zero diagonal solving H1 D + D H1 = rhs off the
-    diagonal (with the shifted factor, (H2 - i shift) d = rhs)."""
-    t, q, lu = factor
-    qh = q.conj().T
-    y = _sylvester(t, qh @ rhs @ q)
-    lam = lu_solve(lu, -_diag_back(q, y))
-    y += _sylvester(t, qh @ (lam[:, None] * q))
-    d = q @ y @ qh
-    d = 0.5 * (d + d.T)
-    d[np.diag_indices_from(d)] = 0.0
-    return d
-
-
-def _pair_residual(h1, r, d):
-    """Off-diagonal R - H1 D - D H1 for symmetric H1 and D."""
-    a = h1 @ d
-    e = r - a - a.T
-    e[np.diag_indices_from(e)] = 0.0
-    return e
-
-
-def solve_pairs(h1, w, c_tilde):
+def solve_pairs(h1, phases, gamma0, c_tilde):
     """Scaled pair amplitudes D of the two-excitation steady state.
 
     D is the symmetric n x n matrix of the hard-core pair amplitudes,
     zero on the diagonal.  For j != k the pair equation is
-    (H1 D + D H1)_jk = R_jk with R = c w^T + w c^T: pairs sharing one
-    atom couple through the single-excitation hop, and no atom holds two
-    excitations.  It is solved as the Sylvester equation
-    H1 D + D H1 = R + diag(lambda), with the n multipliers lambda fixed
-    by diag(D) = 0, on one complex Schur factor of H1: O(n^2) memory and
-    O(n^4) time.
+    (H1 D + D H1)_jk = R_jk with R = c w^T + w c^T, w = exp(i phases):
+    pairs sharing one atom couple through the single-excitation hop,
+    and no atom holds two excitations.  With H1 = diag(d) - (i gamma0/2) G,
+    G_jl = exp(i |phi_j - phi_l|), it is solved in real space: G D = A + B
+    with the running sums A_jk = s_{j-1} A_{j-1,k} + D_jk and
+    B_jk = s_j (B_{j+1,k} + D_{j+1,k}), s_j = exp(i |phi_{j+1} - phi_j|), so
 
-    A lossless chain on resonance can make H1 (+) H1 exactly singular
-    while the pair equation stays consistent, with a null space dark to
-    both ports.  The Schur factor is then shifted by -i PAIR_SHIFT/2
-    (relative), which makes the solve a preconditioner for
-    (H2 - i shift)^-1, and refinement against the exact residual
-    removes the shift.
+        (d_j + d_k) D_jk - (i gamma0/2)(A_jk + B_jk + A_kj + B_kj) = R_jk
+
+    and the two recurrences form one sparse system of n(n-1)/2 + 2n^2
+    unknowns with at most 5 nonzeros per row: one sparse LU and one
+    refinement step.  The phases must be monotone, as along a chain.
 
     Returns (D, relative residual of the pair equation).  Raises
-    SolverError when the residual exceeds RESIDUAL_TOL or is not finite.
+    SolverError when the factor is exactly singular or the residual
+    exceeds RESIDUAL_TOL or is not finite.
     """
+    from scipy.sparse.linalg import splu
+
+    phases = np.asarray(phases, dtype=float)
+    gaps = np.diff(phases)
+    if (gaps < 0).any() and (gaps > 0).any():
+        raise ValueError("phases must be monotone along the chain")
+    d = np.diag(h1) + 0.5j * gamma0
+    s = np.exp(1j * np.abs(gaps))
+    w = np.exp(1j * phases)
     r = np.outer(c_tilde, w) + np.outer(w, c_tilde)
     r[np.diag_indices_from(r)] = 0.0
-    scale = np.linalg.norm(r)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        with np.errstate(all="ignore"):
-            try:
-                factor = _pair_factor(h1)
-                d = _pair_solve(factor, r)
-                err = _pair_residual(h1, r, d)
-                for _ in range(PAIR_REFINE_STEPS):
-                    d = d + _pair_solve(factor, err)
-                    err = _pair_residual(h1, r, d)
-                    res = float(np.linalg.norm(err) / scale) \
-                        if scale > 0 else 0.0
-                    if res <= RESIDUAL_TOL:
-                        break
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                # ValueError: scipy rejects the non-finite values that a
-                # singular multiplier matrix produces
-                raise SolverError("two-excitation solve failed: %s" % exc)
+    jj, kk = np.triu_indices(d.size, k=1)
+    mat = _pair_system(d, s, gamma0)
+    rhs = np.zeros(mat.shape[0], dtype=complex)
+    rhs[:jj.size] = r[jj, kk]
+    with np.errstate(all="ignore"):
+        try:
+            # a small panel and little supernode relaxation keep SuperLU's
+            # workspace and the heap fragmentation it leaves small (and fast)
+            lu = splu(mat, panel_size=4, relax=1)
+        except RuntimeError as exc:    # exactly singular factor
+            raise SolverError("two-excitation solve failed: %s" % exc)
+        x = lu.solve(rhs)
+        x += lu.solve(rhs - mat @ x)
+        dmat = np.zeros_like(r)
+        dmat[jj, kk] = dmat[kk, jj] = x[:jj.size]
+        res = _pair_residual(d, s, gamma0, r, dmat)
     if not res <= RESIDUAL_TOL:
         raise SolverError("two-excitation residual %.3g exceeds %.1g"
                           % (res, RESIDUAL_TOL))
-    return d, res
+    return dmat, res
 
 
 @dataclass(frozen=True)
@@ -182,7 +163,7 @@ def steady_state_truncated(real: Realization,
                               np.zeros((0, 0), dtype=complex))
     phases = np.asarray(real.phases(params.theta), dtype=float)
     h1, w, c_tilde = _singles(phases, real.detunings, params)
-    d_tilde, _ = solve_pairs(h1, w, c_tilde)
+    d_tilde, _ = solve_pairs(h1, phases, params.gamma0, c_tilde)
     omega = params.omega
     return TruncatedState(1.0 + 0.0j, omega * c_tilde, omega ** 2 * d_tilde)
 
@@ -221,7 +202,7 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
     phases = np.asarray(real.phases(params.theta), dtype=float)
     h1, w, c_tilde = _singles(phases, real.detunings, params)
     t_amp, r_amp = _amplitudes(c_tilde, w, g0)
-    d_tilde, _ = solve_pairs(h1, w, c_tilde)
+    d_tilde, _ = solve_pairs(h1, phases, params.gamma0, c_tilde)
 
     if port == TRANSMITTED:
         probe = np.conj(w)
@@ -263,4 +244,6 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
 
 
 def default_taus(tau_max: float = 30.0, n_points: int = 1500) -> np.ndarray:
+    if not 0.0 <= tau_max < np.inf:
+        raise ValueError("tau_max must be finite and non-negative")
     return np.linspace(0.0, tau_max, n_points)

@@ -31,12 +31,12 @@ def propagate_amplitudes(h: np.ndarray, v0: np.ndarray, times, method=None):
     Returns (amps, method_used) with amps[k] the state at times[k].
     ``method`` forces 'eig' or 'expm'; by default the eigendecomposition
     is used unless its eigenvector basis looks numerically defective.
-    The norm is checked to be non-increasing on every call, which any
-    passive decay model must satisfy.
+    The amplitudes are checked to stay finite, and their norm not to
+    grow, on every call, as in any passive decay model.
     """
     times = np.asarray(times, dtype=float)
-    if times.size and (np.diff(times) < 0).any():
-        raise ValueError("times must be sorted ascending")
+    if not np.isfinite(times).all() or (np.diff(times) < 0).any():
+        raise ValueError("times must be finite and sorted ascending")
     v0 = np.asarray(v0, dtype=complex)
     used = method
     amps = None
@@ -45,7 +45,9 @@ def propagate_amplitudes(h: np.ndarray, v0: np.ndarray, times, method=None):
         cond = np.linalg.cond(vecs)
         if cond < EIG_COND_LIMIT:
             a0 = np.linalg.solve(vecs, v0)
-            amps = (vecs @ (a0[:, None] * np.exp(-1j * np.outer(vals, times)))).T
+            with np.errstate(all="ignore"):     # judged by the check below
+                amps = (vecs @ (a0[:, None]
+                                * np.exp(-1j * np.outer(vals, times)))).T
             used = "eig"
         elif method == "eig":
             raise RuntimeError(
@@ -67,6 +69,8 @@ def propagate_amplitudes(h: np.ndarray, v0: np.ndarray, times, method=None):
             amps[k] = v
             prev_t = t
         used = "expm"
+    if not np.isfinite(amps).all():     # NaN norms pass the checks below
+        raise RuntimeError("propagation gave non-finite amplitudes")
     norms = np.linalg.norm(amps, axis=1)
     if norms.size:
         start = max(float(np.linalg.norm(v0)), float(norms[0]))
@@ -96,4 +100,6 @@ def excited_population(chain: CavityChain, params: PhysicalParams,
 
 
 def default_times(t_max: float = 20.0, n_points: int = 2000) -> np.ndarray:
+    if not 0.0 <= t_max < np.inf:
+        raise ValueError("t_max must be finite and non-negative")
     return np.linspace(0.0, t_max, n_points)

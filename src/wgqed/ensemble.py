@@ -185,10 +185,11 @@ def filling_scan(n_sites, params: PhysicalParams, fillings,
                  master_seed=0, workers=1, progress=None) -> Ensemble:
     """Optical depth versus filling fraction at fixed lattice phase.
 
-    The depth is -ln of the ensemble-averaged transmission, so the
-    saturation of the curve at strong opacity reflects the averaged
-    observable, not a per-realization quantity.  Failures are recorded
-    by filling index.
+    The depth is -ln of the ensemble-averaged transmission.  Its
+    saturation near 70 at strong opacity is numerical, not physical:
+    the dense solve forms t = 1 + (i/2) w^H c by addition, so T stops
+    near 1e-32 whatever the chain, while the transfer-matrix cascade
+    keeps falling.  Failures are recorded by filling index.
     """
     fillings = np.asarray(fillings, dtype=float)
     points = [kd_scan(LatticeSpec(n_sites, float(p), mode), params,

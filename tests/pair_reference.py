@@ -2,8 +2,8 @@
 
 Builds the P x P pair Hamiltonian in the lexicographic pair basis,
 P = n(n-1)/2, and solves it with the gated dense LU.  O(n^4) memory and
-O(n^6) time: only meant for n <= 20, as the oracle of the structured
-Sylvester solve ``wgqed.correlations.solve_pairs``, whose signature
+O(n^6) time: only meant for n <= 50, as the oracle of the sparse
+real-space solve ``wgqed.correlations.solve_pairs``, whose signature
 ``dense_solve_pairs`` shares so that tests can swap one for the other.
 """
 
@@ -40,9 +40,10 @@ def build_h2(phases, detunings, params: PhysicalParams) -> np.ndarray:
         phases, detunings, params.delta, params.gamma_prime, params.gamma0))
 
 
-def dense_solve_pairs(h1, w, c_tilde):
+def dense_solve_pairs(h1, phases, gamma0, c_tilde):
     """(D, residual) like ``solve_pairs``, by LU on the P x P matrix."""
     n = h1.shape[0]
+    w = np.exp(1j * np.asarray(phases, dtype=float))
     jj, kk = pair_indices(n)
     d = np.zeros((n, n), dtype=complex)
     if not jj.size:

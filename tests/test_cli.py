@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wgqed.cli import main, parse_theta
 from wgqed.io import read_columns
@@ -158,8 +163,24 @@ def test_invalid_filling_exits_2(tmp_path):
     ["spectrum", "--gamma-prime", "-1", "--samples", "1"],
     ["rabi", "--mirror-sites", "0", "--samples", "1"],
     ["spectrum", "--theta", "nan", "--samples", "1"],
+    ["g2", "--tau-max", "-1", "--samples", "1"],
+    ["g2", "--n-sites", "6", "--filling", "0.5", "--gamma-prime", "0.1",
+     "--samples", "1", "--tau-steps", "3", "--tau-max", "nan"],
+    ["rabi", "--mirror-sites", "3", "--samples", "1", "--t-steps", "3",
+     "--t-max", "-1"],
+    ["rabi", "--mirror-sites", "3", "--samples", "1", "--t-steps", "3",
+     "--t-max", "nan"],
+    ["rabi", "--mirror-sites", "3", "--samples", "1", "--t-steps", "3",
+     "--t-max", "inf"],
+    ["spectrum", "--n-sites", "6", "--gamma-prime", "0.1", "--samples", "1",
+     "--delta-steps", "3", "--delta-min", "nan"],
+    ["tm-compare", "--n-sites", "6", "--delta-steps", "3",
+     "--delta-max", "inf"],
 ], ids=["filling-scan-p-max", "rabi-filling", "theta-div-zero", "samples-0",
-        "negative-gamma-prime", "mirror-sites-0", "theta-nan"])
+        "negative-gamma-prime", "mirror-sites-0", "theta-nan",
+        "g2-tau-max-negative", "g2-tau-max-nan", "rabi-t-max-negative",
+        "rabi-t-max-nan", "rabi-t-max-inf", "spectrum-delta-min-nan",
+        "tm-compare-delta-max-inf"])
 def test_config_errors_exit_2(tmp_path, capsys, args):
     """Bad settings exit 2 before any work: no traceback, no output file."""
     out = tmp_path / "x.dat"
@@ -170,6 +191,41 @@ def test_config_errors_exit_2(tmp_path, capsys, args):
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+# Tiny runs of each command whose grid ends are given by flags.
+GRID_ENDS = {
+    "g2": (["--n-sites", "6", "--filling", "0.5", "--gamma-prime", "0.1",
+            "--samples", "1", "--tau-steps", "3"], ["--tau-max"]),
+    "rabi": (["--mirror-sites", "3", "--samples", "1", "--t-steps", "3"],
+             ["--t-max"]),
+    "spectrum": (["--n-sites", "6", "--gamma-prime", "0.1", "--samples", "1",
+                  "--delta-steps", "3"], ["--delta-min", "--delta-max"]),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(GRID_ENDS)),
+       ends=st.lists(st.floats(), min_size=2, max_size=2))
+@example(command="rabi", ends=[math.nan, 0.0])
+def test_grid_ends_keep_the_exit_contract(command, ends):
+    """Any grid end, finite or not: exit 0, 2 or 3, no traceback, and
+    only finite numbers in a file written with exit 0."""
+    args, flags = GRID_ENDS[command]
+    ends = ["%s=%r" % pair for pair in zip(flags, ends)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(err):
+        out = os.path.join(tmp, "x.dat")
+        try:
+            code = main([command, *args, *ends, "--out", out])
+        except SystemExit as exc:     # rejected by the argument parser
+            code = exc.code
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            data, _ = read_columns(out)
+            assert all(np.isfinite(col).all() for col in data.values())
 
 
 def test_g2_defaults_beyond_dense_pair_ceiling(tmp_path):

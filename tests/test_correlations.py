@@ -61,7 +61,7 @@ SINGULAR = {(np.pi, 0.0, 0.0), (np.pi / 2, 0.0, 0.0)}
 @pytest.mark.parametrize("theta", [0.7, np.pi / 2, np.pi, 2.5])
 def test_pair_solve_matches_dense_oracle(monkeypatch, theta, gamma_prime,
                                          delta, sigma_ih):
-    """The structured Sylvester pair solve against the dense P x P LU:
+    """The sparse real-space pair solve against the dense P x P LU:
     pair amplitudes to 1e-12 where the oracle is nonsingular, and g2 of
     both ports (1e-9) through the same g2_curve with either pair solver."""
     p = PhysicalParams(theta=theta, gamma_prime=gamma_prime, delta=delta,
@@ -88,16 +88,36 @@ def test_pair_solve_matches_dense_oracle(monkeypatch, theta, gamma_prime,
                           / ref.values) <= 1e-9
 
 
-@pytest.mark.parametrize("theta, gamma_prime", [(np.pi / 2, 0.1),
-                                                (np.pi, 0.0)],
-                         ids=["mid-gap-lossy", "bragg-lossless"])
-def test_pair_solve_beyond_dense_ceiling(theta, gamma_prime):
-    """n = 120 (7140 pairs, an 815 MB dense pair matrix): the pair
-    equation holds off the diagonal to the solver's 1e-10 gate, checked
-    here from the returned amplitudes."""
+def test_lossless_mid_gap_pairs_match_dense_oracle(monkeypatch):
+    """n = 50, lossless, on resonance at the mid-gap phase: the pair
+    equation is singular but consistent, and the reflected g2 agrees
+    with the dense P x P LU (1225 pairs) to 1e-9."""
+    p = PhysicalParams(theta=np.pi / 2, gamma_prime=0.0)
+    real = sample_realization(LatticeSpec(100, 0.5), 0.0, 0, 0)
+    assert real.n == 50
+    taus = np.linspace(0.0, 5.0, 6)
+    ours = g2_curve(real, p, taus, REFLECTED)
+    monkeypatch.setattr(correlations, "solve_pairs",
+                        pair_reference.dense_solve_pairs)
+    ref = g2_curve(real, p, taus, REFLECTED)
+    assert not ref.divergent
+    assert np.max(np.abs(ours.values - ref.values) / ref.values) <= 1e-9
+
+
+@pytest.mark.parametrize("lattice, seed, n, theta, gamma_prime", [
+    (LatticeSpec(200, 0.6), 3, 120, np.pi / 2, 0.1),
+    (LatticeSpec(200, 0.6), 3, 120, np.pi, 0.0),
+    (LatticeSpec(200, 0.5), 2, 100, np.pi / 2, 0.0),
+], ids=["mid-gap-lossy", "bragg-lossless", "mid-gap-lossless"])
+def test_pair_solve_beyond_dense_ceiling(lattice, seed, n, theta,
+                                         gamma_prime):
+    """n = 100-120 (up to 7140 pairs, an 815 MB dense pair matrix): the
+    pair equation holds off the diagonal to the solver's 1e-10 gate,
+    checked here densely from the returned amplitudes.  The lossless
+    mid-gap chain has a dozen single-excitation eigenvalues near zero."""
     p = PhysicalParams(theta=theta, gamma_prime=gamma_prime)
-    real = sample_realization(LatticeSpec(200, 0.6), 0.0, 3, 0)
-    assert real.n == 120
+    real = sample_realization(lattice, 0.0, seed, 0)
+    assert real.n == n
     state = steady_state_truncated(real, p)
     c = state.c1 / p.omega
     d = state.c2 / p.omega ** 2

@@ -46,6 +46,16 @@ def test_propagator_consistency():
     assert np.max(np.abs(two_step_b[0] - one_step[0])) < 1e-8
 
 
+@pytest.mark.parametrize("method", ["eig", "expm"])
+def test_non_finite_propagation_raises(method):
+    """NaN norms compare false, so they would pass the passivity check."""
+    h = effective_hamiltonian([0.0, 1.0], [0.0, 0.0], 0.0, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        propagate_amplitudes(h, [1.0, 0.0], [0.0, np.nan], method=method)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        propagate_amplitudes(h, [np.nan, 0.0], [0.0, 1.0], method=method)
+
+
 def test_eig_and_expm_agree():
     rng = np.random.default_rng(3)
     phases = np.sort(rng.uniform(0, 15, 6))
