@@ -24,7 +24,7 @@ from .correlations import default_taus
 from .model import CavityGeometry, FillingMode, LatticeSpec, PhysicalParams
 from .sampling import sample_realization
 from .solver import SolverError
-from .transfer_matrix import compare_markovian
+from .transfer_matrix import compare_markovian, gap_phase
 
 
 class ConfigError(ValueError):
@@ -71,11 +71,17 @@ def _grid(start, stop, steps):
     return grid
 
 
-def _default_workers():
+def _workers(flag):
+    """``--workers``, else ``WGQED_WORKERS``, else 1; at least 1."""
+    name, text = (("--workers", flag) if flag is not None else
+                  ("WGQED_WORKERS", os.environ.get("WGQED_WORKERS", "1")))
     try:
-        return max(1, int(os.environ.get("WGQED_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        raise ValueError("%s=%r is not an integer" % (name, text))
+    if workers < 1:
+        raise ValueError("%s must be >= 1, not %d" % (name, workers))
+    return workers
 
 
 def _add_output(p, default_name):
@@ -108,8 +114,8 @@ def _add_seed(p):
 def _add_ensemble(p):
     p.add_argument("--samples", type=int, default=ensemble.DEFAULT_SAMPLES)
     _add_seed(p)
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="process count (default from WGQED_WORKERS)")
+    p.add_argument("--workers", type=int,
+                   help="process count (default from WGQED_WORKERS, else 1)")
 
 
 def _add_delta_range(p):
@@ -162,7 +168,8 @@ def _run_args(ns):
     """Sample count, seed, workers and progress for an ensemble driver."""
     if ns.samples < 1:
         raise ConfigError("--samples must be >= 1")
-    return dict(n_samples=ns.samples, master_seed=ns.seed, workers=ns.workers,
+    return dict(n_samples=ns.samples, master_seed=ns.seed,
+                workers=_checked(_workers, ns.workers),
                 progress=_progress(ns.command))
 
 
@@ -172,7 +179,8 @@ def _write_ensemble(ns, res, units):
     if res.failures:
         index, reason = res.failures[0]
         meta["failures"] = {"count": len(res.failures),
-                            "first": "index %s: %s" % (index, str(reason)[:200])}
+                            "first": "index %s: %s" % (index, str(reason)[:200]),
+                            "indices": [i for i, _ in res.failures]}
     _write(ns, list(res.columns), list(res.columns.values()), meta, units)
     return 0
 
@@ -221,6 +229,8 @@ def cmd_g2(ns):
 def cmd_tm_compare(ns):
     lattice, params = _lattice(ns), _params(ns, eta=ns.eta)
     deltas = _checked(_grid, ns.delta_min, ns.delta_max, ns.delta_steps)
+    # a gap of n_sites bounds the phase of every gap in the chain
+    _checked(gap_phase, ns.theta, ns.n_sites, deltas, ns.eta)
     real = sample_realization(lattice, ns.sigma_ih, ns.seed, 0)
     res = compare_markovian(real, params, deltas)
     _write(ns, ["delta", "T_markov", "R_markov", "T_cascade", "R_cascade",

@@ -4,7 +4,7 @@ Realization ``index`` of an ensemble is a pure function of
 (master_seed, index), so results are independent of scheduling: serial
 runs and process pools of any size produce bit-identical statistics.
 Failed realizations are recorded with their index and skipped rather
-than aborting the whole run.
+than aborting the whole run; a worker process that dies aborts it.
 
 All observable kernels live at module level so they pickle cleanly into
 worker processes.
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -47,50 +49,45 @@ class Ensemble:
     failures: list
 
 
+def _attempt(kernel, master_seed, args, index):
+    """(True, value) of one realization, or (False, reason) if it raised."""
+    try:
+        return True, kernel(index, master_seed, *args)
+    except Exception as exc:
+        return False, "%s: %s" % (type(exc).__name__, exc)
+
+
 def run_ensemble(kernel, n_samples, master_seed, workers=1, args=(),
                  progress=None) -> EnsembleStats:
     """Average ``kernel(index, master_seed, *args)`` over realizations.
 
-    The merge is in index order regardless of completion order.  A
-    kernel exception marks that realization failed and the run carries
-    on; the run only raises if every realization failed.
+    ``workers > 1`` maps chunks of consecutive indices over one pool of at
+    most ``n_samples`` processes; the merge is in index order either way.
+    A kernel exception marks that realization failed and the run carries
+    on; the run raises if every realization failed or a worker died.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    outcomes = [None] * n_samples
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(kernel, i, master_seed, *args): i
-                       for i in range(n_samples)}
-            done = 0
-            for fut, i in futures.items():
-                try:
-                    outcomes[i] = (True, fut.result())
-                except Exception as exc:
-                    outcomes[i] = (False, "%s: %s" % (type(exc).__name__, exc))
-                done += 1
-                if progress is not None:
-                    progress(done, n_samples)
-    else:
-        for i in range(n_samples):
-            try:
-                outcomes[i] = (True, kernel(i, master_seed, *args))
-            except Exception as exc:
-                outcomes[i] = (False, "%s: %s" % (type(exc).__name__, exc))
+    attempt = partial(_attempt, kernel, master_seed, args)
+    workers = min(workers, n_samples)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapped = (pool.map(attempt, range(n_samples),
+                           chunksize=math.ceil(n_samples / (4 * workers)))
+                  if pool else map(attempt, range(n_samples)))
+        outcomes = []
+        for outcome in mapped:
+            outcomes.append(outcome)
             if progress is not None:
-                progress(i + 1, n_samples)
+                progress(len(outcomes), n_samples)
     values = [np.asarray(v, dtype=float) for ok, v in outcomes if ok]
-    failures = [(i, outcomes[i][1]) for i in range(n_samples)
-                if not outcomes[i][0]]
+    failures = [(i, v) for i, (ok, v) in enumerate(outcomes) if not ok]
     if not values:
         raise RuntimeError("all %d realizations failed; first failure: %s"
                            % (n_samples, failures[0][1]))
     stacked = np.stack(values)
     mean = stacked.mean(axis=0)
-    if len(values) > 1:
-        stderr = _sample_std(stacked) / math.sqrt(len(values))
-    else:
-        stderr = np.zeros_like(mean)
+    stderr = (_sample_std(stacked) / math.sqrt(len(values)) if len(values) > 1
+              else np.zeros_like(mean))
     return EnsembleStats(mean, stderr, len(values), master_seed, failures)
 
 
@@ -116,14 +113,14 @@ def spectrum_kernel(index, master_seed, lattice, params, deltas):
     return np.stack([scan.T, scan.R])
 
 
-def kd_kernel(index, master_seed, lattice, params, thetas):
-    real = sample_realization(lattice, params.sigma_ih, master_seed, index)
-    out = np.empty((2, len(thetas)))
-    for i, th in enumerate(thetas):
-        res = scatter(real, replace(params, theta=float(th)))
-        out[0, i] = res.T
-        out[1, i] = res.R
-    return out
+def scatter_kernel(index, master_seed, points):
+    """T and R, shape (2, len(points)), of realization ``index`` at each
+    ``(lattice, params)`` point; each distinct lattice is drawn once."""
+    draw = cache(lambda lattice, sigma_ih: sample_realization(
+        lattice, sigma_ih, master_seed, index))
+    res = [scatter(draw(lattice, params.sigma_ih), params)
+           for lattice, params in points]
+    return np.array([[r.T for r in res], [r.R for r in res]])
 
 
 def rabi_kernel(index, master_seed, geom, filling, mode, params, times):
@@ -163,6 +160,17 @@ def spectrum_ensemble(lattice: LatticeSpec, params: PhysicalParams, deltas,
                       "R_mean": R, "R_se": R_se, "sum_mean": T + R}, stats)
 
 
+def _scatter_scan(key, values, points, n_samples, master_seed, workers,
+                  progress) -> Ensemble:
+    """Columns ``key`` (``values``), depth, T and R over ``points``."""
+    stats = run_ensemble(scatter_kernel, n_samples, master_seed, workers,
+                         args=(points,), progress=progress)
+    (T, R), (T_se, R_se) = stats.mean, stats.stderr
+    depth = np.array([optical_depth(t) for t in T])
+    return _ensemble({key: values, "depth": depth, "T_mean": T,
+                      "T_se": T_se, "R_mean": R, "R_se": R_se}, stats)
+
+
 def kd_scan(lattice: LatticeSpec, params: PhysicalParams, thetas,
             n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
             progress=None) -> Ensemble:
@@ -172,12 +180,9 @@ def kd_scan(lattice: LatticeSpec, params: PhysicalParams, thetas,
     drive detuning.
     """
     thetas = np.asarray(thetas, dtype=float)
-    stats = run_ensemble(kd_kernel, n_samples, master_seed, workers,
-                         args=(lattice, params, thetas), progress=progress)
-    (T, R), (T_se, R_se) = stats.mean, stats.stderr
-    depth = np.array([optical_depth(t) for t in T])
-    return _ensemble({"theta": thetas, "depth": depth, "T_mean": T,
-                      "T_se": T_se, "R_mean": R, "R_se": R_se}, stats)
+    points = [(lattice, replace(params, theta=float(th))) for th in thetas]
+    return _scatter_scan("theta", thetas, points, n_samples, master_seed,
+                         workers, progress)
 
 
 def filling_scan(n_sites, params: PhysicalParams, fillings,
@@ -189,19 +194,13 @@ def filling_scan(n_sites, params: PhysicalParams, fillings,
     saturation near 70 at strong opacity is numerical, not physical:
     the dense solve forms t = 1 + (i/2) w^H c by addition, so T stops
     near 1e-32 whatever the chain, while the transfer-matrix cascade
-    keeps falling.  Failures are recorded by filling index.
+    keeps falling.  A realization that fails at any filling fails for
+    the whole scan.
     """
     fillings = np.asarray(fillings, dtype=float)
-    points = [kd_scan(LatticeSpec(n_sites, float(p), mode), params,
-                      [params.theta], n_samples, master_seed, workers, progress)
-              for p in fillings]
-    columns = {"filling": fillings}
-    for name in ("depth", "T_mean", "T_se", "R_mean", "R_se"):
-        columns[name] = np.array([pt.columns[name][0] for pt in points])
-    failures = [(i, msg) for i, pt in enumerate(points)
-                for _, msg in pt.failures]
-    count = points[-1].count if points else 0
-    return Ensemble(columns, count, master_seed, failures)
+    points = [(LatticeSpec(n_sites, float(p), mode), params) for p in fillings]
+    return _scatter_scan("filling", fillings, points, n_samples, master_seed,
+                         workers, progress)
 
 
 def rabi_ensemble(geom: CavityGeometry, filling, params: PhysicalParams,

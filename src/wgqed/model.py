@@ -50,6 +50,10 @@ class PhysicalParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma0", "gamma_prime", "theta", "delta", "drive_amp",
+                     "sigma_ih", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
         if self.gamma_prime < 0 or self.sigma_ih < 0 or self.eta < 0:

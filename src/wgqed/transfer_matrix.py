@@ -35,20 +35,27 @@ def atom_coefficients(delta, gamma_prime, det_shift=0.0, gamma0=1.0):
 
 
 def gap_phase(theta, gap_sites, delta, eta, gamma0=1.0):
-    """Propagation phase across a gap of ``gap_sites`` lattice constants."""
-    return theta * gap_sites * (1.0 + eta * np.asarray(delta, dtype=float) / gamma0)
+    """Propagation phase across a gap of ``gap_sites`` lattice constants.
+
+    Raises ValueError where a large ``eta * delta`` makes it overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = theta * gap_sites * (1.0 + eta * np.asarray(delta, dtype=float)
+                                   / gamma0)
+    if not np.isfinite(phi).all():
+        raise ValueError("retarded gap phase is not finite (eta %r)" % eta)
+    return phi
 
 
-def _compose_point(real: Realization, params: PhysicalParams, delta: float):
-    """Redheffer fold at a single detuning; immune to opaque-atom overflow."""
-    sites = real.occupied_sites
+def _compose_point(real: Realization, params: PhysicalParams, delta: float,
+                   phis):
+    """Redheffer fold at a single detuning, ``phis`` its gap phases;
+    immune to opaque-atom overflow."""
     rl, rr, tt = 0.0j, 0.0j, 1.0 + 0.0j
-    for j, m in enumerate(sites):
+    for j in range(real.n):
         if j:
-            phi = gap_phase(params.theta, m - sites[j - 1], delta,
-                            params.eta, params.gamma0)
-            tt *= np.exp(1j * phi)
-            rr *= np.exp(2j * phi)
+            tt *= np.exp(1j * phis[j - 1])
+            rr *= np.exp(2j * phis[j - 1])
         t_a, r_a = atom_coefficients(delta, params.gamma_prime,
                                      real.detunings[j], params.gamma0)
         t_a, r_a = complex(t_a), complex(r_a)
@@ -77,13 +84,12 @@ def tm_spectrum(real: Realization, params: PhysicalParams, deltas):
     m_tot[:, 0, 0] = 1.0
     m_tot[:, 1, 1] = 1.0
     bad = np.zeros(nd, dtype=bool)
-    sites = real.occupied_sites
+    phis = gap_phase(params.theta, np.diff(real.occupied_sites)[:, None],
+                     deltas, params.eta, params.gamma0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j, m in enumerate(sites):
+        for j in range(real.n):
             if j:
-                phi = gap_phase(params.theta, m - sites[j - 1], deltas,
-                                params.eta, params.gamma0)
-                ph = np.exp(1j * phi)
+                ph = np.exp(1j * phis[j - 1])
                 m_tot[:, 0, :] *= ph[:, None]
                 m_tot[:, 1, :] *= np.conj(ph)[:, None]
             t_a, r_a = atom_coefficients(deltas, params.gamma_prime,
@@ -103,7 +109,8 @@ def tm_spectrum(real: Realization, params: PhysicalParams, deltas):
         t_amp[ok] = 1.0 / m_tot[ok, 1, 1]
         r_amp[ok] = -m_tot[ok, 1, 0] / m_tot[ok, 1, 1]
     for i in np.nonzero(bad)[0]:
-        t_amp[i], r_amp[i] = _compose_point(real, params, float(deltas[i]))
+        t_amp[i], r_amp[i] = _compose_point(real, params, float(deltas[i]),
+                                            phis[:, i])
     return t_amp, r_amp
 
 

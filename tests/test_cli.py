@@ -176,11 +176,31 @@ def test_invalid_filling_exits_2(tmp_path):
      "--delta-steps", "3", "--delta-min", "nan"],
     ["tm-compare", "--n-sites", "6", "--delta-steps", "3",
      "--delta-max", "inf"],
+    ["spectrum", "--n-sites", "6", "--gamma-prime", "nan", "--samples", "1",
+     "--delta-steps", "3"],
+    ["spectrum", "--n-sites", "6", "--sigma-ih", "nan", "--samples", "1",
+     "--delta-steps", "3"],
+    ["spectrum", "--n-sites", "6", "--drive-amp", "nan", "--samples", "1",
+     "--delta-steps", "3"],
+    ["g2", "--n-sites", "6", "--filling", "0.5", "--gamma-prime", "0.1",
+     "--samples", "1", "--tau-steps", "3", "--delta", "nan"],
+    ["rabi", "--mirror-sites", "3", "--samples", "1", "--t-steps", "3",
+     "--gamma-prime", "inf"],
+    ["tm-compare", "--n-sites", "6", "--eta", "nan", "--delta-steps", "3"],
+    ["tm-compare", "--n-sites", "6", "--eta", "1e308", "--delta-steps", "3"],
+    ["spectrum", "--n-sites", "6", "--samples", "1", "--delta-steps", "3",
+     "--workers", "0"],
+    ["kd-scan", "--n-sites", "6", "--samples", "1", "--theta-steps", "3",
+     "--workers", "-5"],
 ], ids=["filling-scan-p-max", "rabi-filling", "theta-div-zero", "samples-0",
         "negative-gamma-prime", "mirror-sites-0", "theta-nan",
         "g2-tau-max-negative", "g2-tau-max-nan", "rabi-t-max-negative",
         "rabi-t-max-nan", "rabi-t-max-inf", "spectrum-delta-min-nan",
-        "tm-compare-delta-max-inf"])
+        "tm-compare-delta-max-inf", "spectrum-gamma-prime-nan",
+        "spectrum-sigma-ih-nan", "spectrum-drive-amp-nan", "g2-delta-nan",
+        "rabi-gamma-prime-inf", "tm-compare-eta-nan",
+        "tm-compare-eta-overflow", "workers-0",
+        "workers-negative"])
 def test_config_errors_exit_2(tmp_path, capsys, args):
     """Bad settings exit 2 before any work: no traceback, no output file."""
     out = tmp_path / "x.dat"
@@ -193,32 +213,52 @@ def test_config_errors_exit_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
-# Tiny runs of each command whose grid ends are given by flags.
-GRID_ENDS = {
+@pytest.mark.parametrize("value", ["0", "two", ""])
+def test_bad_workers_variable_exits_2(tmp_path, capsys, monkeypatch, value):
+    """WGQED_WORKERS is checked like --workers, not silently replaced."""
+    monkeypatch.setenv("WGQED_WORKERS", value)
+    out = tmp_path / "x.dat"
+    code = main(["spectrum", "--n-sites", "6", "--samples", "1",
+                 "--delta-steps", "3", "--out", str(out)])
+    assert code == 2
+    assert "WGQED_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Tiny runs of each command, with the flags that take any float: grid
+# ends, rates, the detuning, the drive and the retardation.
+FLOAT_FLAGS = {
     "g2": (["--n-sites", "6", "--filling", "0.5", "--gamma-prime", "0.1",
-            "--samples", "1", "--tau-steps", "3"], ["--tau-max"]),
+            "--samples", "1", "--tau-steps", "3"], ["--tau-max", "--delta"]),
     "rabi": (["--mirror-sites", "3", "--samples", "1", "--t-steps", "3"],
-             ["--t-max"]),
+             ["--t-max", "--gamma-prime"]),
     "spectrum": (["--n-sites", "6", "--gamma-prime", "0.1", "--samples", "1",
-                  "--delta-steps", "3"], ["--delta-min", "--delta-max"]),
+                  "--delta-steps", "3"],
+                 ["--delta-min", "--delta-max", "--sigma-ih", "--drive-amp"]),
+    "tm-compare": (["--n-sites", "6", "--delta-steps", "3"],
+                   ["--eta", "--gamma-prime", "--delta-max"]),
 }
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(command=st.sampled_from(sorted(GRID_ENDS)),
-       ends=st.lists(st.floats(), min_size=2, max_size=2))
-@example(command="rabi", ends=[math.nan, 0.0])
-def test_grid_ends_keep_the_exit_contract(command, ends):
-    """Any grid end, finite or not: exit 0, 2 or 3, no traceback, and
-    only finite numbers in a file written with exit 0."""
-    args, flags = GRID_ENDS[command]
-    ends = ["%s=%r" % pair for pair in zip(flags, ends)]
+@pytest.mark.filterwarnings("ignore:drive Rabi frequency:UserWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(FLOAT_FLAGS)),
+       values=st.lists(st.floats(), min_size=4, max_size=4))
+@example(command="rabi", values=[math.nan, 0.0, 0.0, 0.0])
+@example(command="tm-compare", values=[math.nan, 0.0, 1.0, 0.0])
+@example(command="tm-compare", values=[1e308, 0.0, 1.0, 0.0])
+@example(command="spectrum", values=[-1.0, 1.0, 0.0, math.nan])
+def test_grid_ends_keep_the_exit_contract(command, values):
+    """Any grid end or other float flag, finite or not: exit 0, 2 or 3,
+    no traceback, and only finite numbers in a file written with exit 0."""
+    args, flags = FLOAT_FLAGS[command]
+    values = ["%s=%r" % pair for pair in zip(flags, values)]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(err):
         out = os.path.join(tmp, "x.dat")
         try:
-            code = main([command, *args, *ends, "--out", out])
+            code = main([command, *args, *values, "--out", out])
         except SystemExit as exc:     # rejected by the argument parser
             code = exc.code
         assert code in (0, 2, 3)

@@ -1,11 +1,16 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from wgqed import ensemble
 from wgqed.correlations import default_taus
 from wgqed.ensemble import (filling_scan, g2_ensemble, kd_scan,
                             rabi_ensemble, run_ensemble, spectrum_ensemble)
 from wgqed.model import (CavityGeometry, FillingMode, LatticeSpec,
                          PhysicalParams)
+from wgqed.sampling import sample_realization
+from wgqed.solver import scatter
 
 
 def counting_kernel(index, master_seed):
@@ -85,6 +90,10 @@ TINY_RUNS = {
         20, PhysicalParams(theta=1.0, gamma_prime=0.1, sigma_ih=0.3),
         (0.0, 0.5, 1.0), FillingMode.BERNOULLI, n_samples=3, master_seed=3,
         **kw),
+    # fewer samples than workers: the pool shrinks to the sample count
+    "filling-scan-one-sample": lambda **kw: filling_scan(
+        12, PhysicalParams(theta=2.0, gamma_prime=0.1), (0.25, 0.75),
+        n_samples=1, master_seed=8, **kw),
     "rabi": lambda **kw: rabi_ensemble(
         CavityGeometry(mirror_sites=6), 0.5, PhysicalParams(gamma_prime=0.1),
         np.linspace(0.0, 4.0, 9), n_samples=3, master_seed=4, **kw),
@@ -194,3 +203,58 @@ def test_progress_callback_sees_every_sample():
     run_ensemble(counting_kernel, 4, master_seed=0,
                  progress=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+
+def opens_pools(monkeypatch):
+    """The max_workers of every pool run_ensemble opens, in order."""
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+def test_filling_scan_opens_one_pool(monkeypatch):
+    opened = opens_pools(monkeypatch)
+    scan = filling_scan(10, PhysicalParams(theta=1.0, gamma_prime=0.1),
+                        (0.2, 0.5, 0.8), n_samples=4, master_seed=1,
+                        workers=2)
+    assert opened == [2]
+    assert scan.count == 4
+
+
+def test_pool_never_exceeds_sample_count(monkeypatch):
+    opened = opens_pools(monkeypatch)
+    stats = run_ensemble(counting_kernel, 2, master_seed=5, workers=8)
+    assert opened == [2]
+    assert stats.mean[0] == 0.5 and stats.count == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_filling_scan_fails_realizations_not_fillings(monkeypatch, workers):
+    """A realization that fails at one filling fails for the whole scan,
+    and its failure carries its realization index."""
+    lattice = LatticeSpec(6, 1 / 3)
+
+    def doomed(real):        # the two-atom draws that start on site 0
+        return real.n == 2 and real.occupied_sites[0] == 0
+
+    def flaky_scatter(real, params):
+        if doomed(real):
+            raise RuntimeError("forced")
+        return scatter(real, params)
+
+    monkeypatch.setattr(ensemble, "scatter", flaky_scatter)
+    scan = filling_scan(6, PhysicalParams(theta=1.0, gamma_prime=0.1),
+                        [lattice.filling, 1.0], n_samples=8, master_seed=0,
+                        workers=workers)
+    expected = [i for i in range(8)
+                if doomed(sample_realization(lattice, 0.0, 0, i))]
+    assert 0 < len(expected) < 8
+    assert [i for i, _ in scan.failures] == expected
+    assert scan.count + len(scan.failures) == 8
+    assert scan.count == 8 - len(expected)

@@ -19,6 +19,14 @@ def test_params_validation():
         PhysicalParams(drive_amp=-1.0)
 
 
+@pytest.mark.parametrize("name", ["gamma0", "gamma_prime", "theta", "delta",
+                                  "drive_amp", "sigma_ih", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        PhysicalParams(**{name: value})
+
+
 def test_strong_drive_warns():
     with pytest.warns(UserWarning):
         PhysicalParams(drive_amp=1.0, gamma_prime=0.1)

@@ -30,6 +30,9 @@ def test_atom_coefficients_closed_form():
 def test_gap_phase_retardation():
     assert gap_phase(1.0, 3, 0.0, 0.0) == 3.0
     assert gap_phase(1.0, 3, 2.0, 1e-3) == pytest.approx(3.0 * 1.002, rel=1e-15)
+    # beyond the double range: an error, not a NaN cascade
+    with pytest.raises(ValueError, match="not finite"):
+        gap_phase(1.0, 3, [0.0, 20.0], 1e308)
 
 
 def test_single_atom_cascade_is_exact():
