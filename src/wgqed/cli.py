@@ -63,12 +63,22 @@ def _checked(build, *args, **kwargs):
 
 
 def _grid(start, stop, steps):
-    """``np.linspace(start, stop, steps)``, unless a point is not finite."""
+    """``np.linspace(start, stop, steps)``, unless it has no point or a
+    point is not finite."""
+    if steps < 1:
+        raise ValueError("grid needs at least 1 point, not %d" % steps)
     with np.errstate(all="ignore"):
         grid = np.linspace(start, stop, steps)
     if not np.isfinite(np.r_[start, stop, grid]).all():
         raise ValueError("grid from %r to %r is not finite" % (start, stop))
     return grid
+
+
+def _seed(seed):
+    """``--seed``, a Philox key: 0 <= seed < 2**128."""
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError("--seed must be in [0, 2**128), not %d" % seed)
+    return seed
 
 
 def _workers(flag):
@@ -168,7 +178,7 @@ def _run_args(ns):
     """Sample count, seed, workers and progress for an ensemble driver."""
     if ns.samples < 1:
         raise ConfigError("--samples must be >= 1")
-    return dict(n_samples=ns.samples, master_seed=ns.seed,
+    return dict(n_samples=ns.samples, master_seed=_seed(ns.seed),
                 workers=_checked(_workers, ns.workers),
                 progress=_progress(ns.command))
 
@@ -231,7 +241,7 @@ def cmd_tm_compare(ns):
     deltas = _checked(_grid, ns.delta_min, ns.delta_max, ns.delta_steps)
     # a gap of n_sites bounds the phase of every gap in the chain
     _checked(gap_phase, ns.theta, ns.n_sites, deltas, ns.eta)
-    real = sample_realization(lattice, ns.sigma_ih, ns.seed, 0)
+    real = sample_realization(lattice, ns.sigma_ih, _seed(ns.seed), 0)
     res = compare_markovian(real, params, deltas)
     _write(ns, ["delta", "T_markov", "R_markov", "T_cascade", "R_cascade",
                 "dT", "dR"],

@@ -8,11 +8,11 @@ still on; the second detection closes the correlator.  Everything below
 works with drive-scaled amplitudes, so the returned g2 is exactly
 independent of the field amplitude, as it must be at leading order.
 
-For an opaque chain the transmitted amplitude computed additively from
-the steady state loses all relative accuracy once |t| drops near the
-solver noise floor; the transfer-matrix cascade computes the same t
-multiplicatively with ~n*eps relative error at any depth, so it takes
-over as the g2 baseline below ``STABLE_AMP_FLOOR``.
+The baseline t or r that normalizes g2 comes from the scattering-matrix
+cascade, never from the steady state: the steady state forms t
+additively and loses all relative accuracy once |t| nears the solver
+noise floor, while the cascade forms it multiplicatively with ~n*eps
+relative error at any depth.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import numpy as np
 
 from .dynamics import propagate_amplitudes
 from .model import PhysicalParams, Realization
-from .solver import (RESIDUAL_TOL, SolverError, _amplitudes,
-                     effective_hamiltonian, solve_with_refinement)
+from .solver import (RESIDUAL_TOL, SolverError, effective_hamiltonian,
+                     solve_with_refinement)
 from .transfer_matrix import tm_scatter
-
-STABLE_AMP_FLOOR = 1e-8
 
 TRANSMITTED = "transmitted"
 REFLECTED = "reflected"
@@ -174,7 +172,7 @@ class G2Result:
     values: np.ndarray
     port: str
     base_amp: complex      # t (transmitted) or r (reflected) used as baseline
-    base_source: str       # 'steady-state' or 'cascade'
+    base_source: str       # always 'cascade'
     divergent: bool
     method: str            # propagation method for the transient
 
@@ -195,13 +193,12 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
     if real.n == 0:
         if port == TRANSMITTED:
             return G2Result(taus, np.ones_like(taus), port, 1.0 + 0.0j,
-                            "steady-state", False, "none")
+                            "cascade", False, "none")
         return G2Result(taus, np.full_like(taus, np.inf), port, 0.0j,
-                        "steady-state", True, "none")
+                        "cascade", True, "none")
 
     phases = np.asarray(real.phases(params.theta), dtype=float)
     h1, w, c_tilde = _singles(phases, real.detunings, params)
-    t_amp, r_amp = _amplitudes(c_tilde, w, g0)
     d_tilde, _ = solve_pairs(h1, phases, params.gamma0, c_tilde)
 
     if port == TRANSMITTED:
@@ -210,23 +207,19 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
         probe = w
     contraction = d_tilde @ probe
 
-    base = t_amp if port == TRANSMITTED else r_amp
-    source = "steady-state"
-    if abs(base) < STABLE_AMP_FLOOR:
-        # The additive steady-state amplitude has absolute error near the
-        # solver noise floor; the multiplicative cascade keeps relative
-        # accuracy at any opacity.  Rephase it from the cascade's
-        # first-atom reference plane to the solver's origin convention.
-        t_tm, r_tm = tm_scatter(real, replace(params, eta=0.0))
-        sites = real.occupied_sites
-        if port == TRANSMITTED:
-            base = t_tm * np.exp(-1j * params.theta * (sites[-1] - sites[0]))
-        else:
-            base = r_tm * np.exp(2j * params.theta * sites[0])
-        source = "cascade"
+    # The Markovian cascade amplitude, rephased from its first-atom
+    # reference plane to the solver's origin convention.  Parameters are
+    # rebuilt only for a nonzero eta, so a strong drive warns just once.
+    t_tm, r_tm = tm_scatter(real, replace(params, eta=0.0) if params.eta
+                            else params)
+    sites = real.occupied_sites
+    if port == TRANSMITTED:
+        base = t_tm * np.exp(-1j * params.theta * (sites[-1] - sites[0]))
+    else:
+        base = r_tm * np.exp(2j * params.theta * sites[0])
     if base == 0.0:
         return G2Result(taus, np.full_like(taus, np.inf), port, base,
-                        source, True, "none")
+                        "cascade", True, "none")
 
     if port == TRANSMITTED:
         conditioned = c_tilde + 0.5j * g0 * contraction
@@ -238,12 +231,15 @@ def g2_curve(real: Realization, params: PhysicalParams, taus,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = np.abs(base * base + q) ** 2 / abs(base) ** 4
     if not np.isfinite(values).all():
-        raise RuntimeError("g2 not finite: |%s baseline| = %.3g (%s) is "
-                           "too small" % (port, abs(base), source))
-    return G2Result(taus, values, port, base, source, False, method)
+        raise RuntimeError("g2 not finite: |%s baseline| = %.3g is too "
+                           "small" % (port, abs(base)))
+    return G2Result(taus, values, port, base, "cascade", False, method)
 
 
 def default_taus(tau_max: float = 30.0, n_points: int = 1500) -> np.ndarray:
     if not 0.0 <= tau_max < np.inf:
         raise ValueError("tau_max must be finite and non-negative")
+    if n_points < 1:
+        raise ValueError("the tau grid needs at least 1 point, not %d"
+                         % n_points)
     return np.linspace(0.0, tau_max, n_points)

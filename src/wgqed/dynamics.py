@@ -102,4 +102,7 @@ def excited_population(chain: CavityChain, params: PhysicalParams,
 def default_times(t_max: float = 20.0, n_points: int = 2000) -> np.ndarray:
     if not 0.0 <= t_max < np.inf:
         raise ValueError("t_max must be finite and non-negative")
+    if n_points < 1:
+        raise ValueError("the time grid needs at least 1 point, not %d"
+                         % n_points)
     return np.linspace(0.0, t_max, n_points)

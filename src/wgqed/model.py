@@ -65,7 +65,7 @@ class PhysicalParams:
                 "drive Rabi frequency %.3g exceeds 0.1*max(gamma_prime, gamma0); "
                 "the linear-response steady state may not be trustworthy"
                 % self.omega,
-                stacklevel=2,
+                stacklevel=3,   # past the generated __init__, to the caller
             )
 
     @property

@@ -192,6 +192,16 @@ def test_invalid_filling_exits_2(tmp_path):
      "--workers", "0"],
     ["kd-scan", "--n-sites", "6", "--samples", "1", "--theta-steps", "3",
      "--workers", "-5"],
+    ["spectrum", "--n-sites", "6", "--samples", "1", "--delta-steps", "0"],
+    ["kd-scan", "--n-sites", "6", "--samples", "1", "--theta-steps", "0"],
+    ["filling-scan", "--n-sites", "6", "--samples", "1", "--p-steps", "0"],
+    ["rabi", "--mirror-sites", "3", "--samples", "1", "--t-steps", "0"],
+    ["g2", "--n-sites", "6", "--filling", "0.5", "--gamma-prime", "0.1",
+     "--samples", "1", "--tau-steps", "0"],
+    ["tm-compare", "--n-sites", "6", "--delta-steps", "0"],
+    ["spectrum", "--n-sites", "6", "--samples", "1", "--delta-steps", "3",
+     "--seed", "-1"],
+    ["tm-compare", "--n-sites", "6", "--delta-steps", "3", "--seed", "-1"],
 ], ids=["filling-scan-p-max", "rabi-filling", "theta-div-zero", "samples-0",
         "negative-gamma-prime", "mirror-sites-0", "theta-nan",
         "g2-tau-max-negative", "g2-tau-max-nan", "rabi-t-max-negative",
@@ -200,7 +210,10 @@ def test_invalid_filling_exits_2(tmp_path):
         "spectrum-sigma-ih-nan", "spectrum-drive-amp-nan", "g2-delta-nan",
         "rabi-gamma-prime-inf", "tm-compare-eta-nan",
         "tm-compare-eta-overflow", "workers-0",
-        "workers-negative"])
+        "workers-negative", "spectrum-delta-steps-0", "kd-scan-theta-steps-0",
+        "filling-scan-p-steps-0", "rabi-t-steps-0", "g2-tau-steps-0",
+        "tm-compare-delta-steps-0", "spectrum-seed-negative",
+        "tm-compare-seed-negative"])
 def test_config_errors_exit_2(tmp_path, capsys, args):
     """Bad settings exit 2 before any work: no traceback, no output file."""
     out = tmp_path / "x.dat"
@@ -252,20 +265,75 @@ def test_grid_ends_keep_the_exit_contract(command, values):
     """Any grid end or other float flag, finite or not: exit 0, 2 or 3,
     no traceback, and only finite numbers in a file written with exit 0."""
     args, flags = FLOAT_FLAGS[command]
-    values = ["%s=%r" % pair for pair in zip(flags, values)]
+    _assert_exit_contract([command, *args, *("%s=%r" % pair for pair in
+                                             zip(flags, values))])
+
+
+def _assert_exit_contract(argv):
+    """Exit 0, 2 or 3 with no traceback, and a file written with exit 0
+    holds at least one data row, all of it finite."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(err):
         out = os.path.join(tmp, "x.dat")
         try:
-            code = main([command, *args, *values, "--out", out])
+            code = main([*argv, "--out", out])
         except SystemExit as exc:     # rejected by the argument parser
             code = exc.code
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code == 0:
             data, _ = read_columns(out)
-            assert all(np.isfinite(col).all() for col in data.values())
+            assert all(col.size and np.isfinite(col).all()
+                       for col in data.values())
+
+
+# Tiny runs of each command with its integer flags: chain sizes, grid
+# point counts, samples and the seed.  Lossy atoms keep every depth finite.
+INT_FLAGS = {
+    "g2": (["--filling", "0.5", "--gamma-prime", "0.1"],
+           ["--n-sites", "--tau-steps", "--samples", "--seed"]),
+    "rabi": (["--gamma-prime", "0.1"],
+             ["--mirror-sites", "--t-steps", "--samples", "--seed"]),
+    "spectrum": (["--gamma-prime", "0.1"],
+                 ["--n-sites", "--delta-steps", "--samples", "--seed"]),
+    "kd-scan": (["--gamma-prime", "0.1"],
+                ["--n-sites", "--theta-steps", "--samples", "--seed"]),
+    "filling-scan": (["--gamma-prime", "0.1"],
+                     ["--n-sites", "--p-steps", "--samples", "--seed"]),
+    "tm-compare": (["--gamma-prime", "0.1"],
+                   ["--n-sites", "--delta-steps", "--seed"]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(INT_FLAGS)),
+       values=st.lists(st.integers(-2, 8), min_size=4, max_size=4))
+@example(command="tm-compare", values=[6, 0, 0, 0])
+@example(command="rabi", values=[0, 3, 1, 0])
+@example(command="g2", values=[1, 1, 1, -1])
+def test_integer_flags_keep_the_exit_contract(command, values):
+    """Any small chain size, point count, sample count or seed, including
+    zero and negative ones, keeps the exit contract."""
+    args, flags = INT_FLAGS[command]
+    _assert_exit_contract([command, *args, *("%s=%d" % pair for pair in
+                                             zip(flags, values))])
+
+
+ANGLES = st.one_of(st.floats(), st.sampled_from(
+    ["pi", "2pi/3", "0.05pi", "1.95pi", "pi/0", "0pi", "-pi", "1e400pi"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(bounds=st.lists(ANGLES, min_size=2, max_size=2))
+@example(bounds=[math.nan, 1.0])
+@example(bounds=["pi", "pi"])
+def test_kd_scan_angle_bounds_keep_the_exit_contract(bounds):
+    """Any --theta-min and --theta-max, numbers or 'pi' forms."""
+    _assert_exit_contract(["kd-scan", "--n-sites", "4", "--gamma-prime", "0.1",
+                           "--samples", "1", "--theta-steps", "3",
+                           "--theta-min=%s" % (bounds[0],),
+                           "--theta-max=%s" % (bounds[1],)])
 
 
 def test_g2_defaults_beyond_dense_pair_ceiling(tmp_path):

@@ -243,7 +243,7 @@ def test_g2_independent_of_drive_amplitude():
 
 def test_cascade_phase_conventions():
     """The multiplicative-cascade amplitudes differ from the additive ones
-    only by the reference-plane phases the fallback applies."""
+    only by the reference-plane phases g2_curve applies to its baseline."""
     rng = np.random.default_rng(11)
     sites = tuple(sorted(rng.choice(40, size=6, replace=False).tolist()))
     real = chain(sites, dets=rng.normal(0.0, 0.3, 6))

@@ -28,8 +28,10 @@ def test_params_reject_non_finite(name, value):
 
 
 def test_strong_drive_warns():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         PhysicalParams(drive_amp=1.0, gamma_prime=0.1)
+    # reported where the parameters are built, not in the dataclass code
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_weak_drive_is_silent(recwarn):

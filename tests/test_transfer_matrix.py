@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,12 +45,83 @@ def test_single_atom_cascade_is_exact():
 
 
 def test_perfect_mirror_point_uses_fallback():
-    # gamma'=0 on resonance: t=0 exactly per atom; the matrix route
-    # divides by zero and the composition route must take over
+    # gamma'=0 on resonance: t=0 exactly per atom, so the first atom is
+    # already a perfect mirror and the fold must stay finite behind it
     t, r = tm_scatter(Realization((0, 1, 2), (0.0,) * 3),
                       PhysicalParams(theta=math.pi, gamma_prime=0.0, delta=0.0))
     assert t == 0.0
     assert abs(r) == pytest.approx(1.0, rel=1e-12)
+
+
+def reference_fold(real, params, delta):
+    """The Redheffer fold at one detuning, in plain Python complex
+    arithmetic: the loop the vectorized tm_spectrum replaces."""
+    rl, rr, tt = 0.0j, 0.0j, 1.0 + 0.0j
+    for j in range(real.n):
+        if j:
+            phi = float(gap_phase(params.theta, real.occupied_sites[j]
+                                  - real.occupied_sites[j - 1], delta,
+                                  params.eta, params.gamma0))
+            tt *= complex(np.exp(1j * phi))
+            rr *= complex(np.exp(2j * phi))
+        t_a, r_a = map(complex, atom_coefficients(
+            delta, params.gamma_prime, real.detunings[j], params.gamma0))
+        den = 1.0 - rr * r_a
+        if den == 0.0:      # already a perfect mirror: tt == 0
+            rr = r_a
+            continue
+        rl = rl + tt * tt * r_a / den
+        rr = r_a + t_a * t_a * rr / den
+        tt = tt * t_a / den
+    return tt, rl
+
+
+@pytest.mark.parametrize("theta", [math.pi, 0.0])
+def test_mixed_grid_matches_pointwise_cascade(theta):
+    # one grid through the lossless resonance (t_a = 0 exactly) and
+    # ordinary points; at theta = 0 every gap phase is exactly 0, so each
+    # later atom meets the perfect-mirror case 1 - rr * r_a == 0
+    real = Realization((0, 1, 2, 4), (0.0,) * 4)
+    p = PhysicalParams(theta=theta, gamma_prime=0.0)
+    deltas = np.array([-1.5, 0.0, 0.3, 0.0, 2.0])
+    t, r = tm_spectrum(real, p, deltas)
+    for i, delta in enumerate(deltas):
+        assert (t[i], r[i]) == tm_scatter(real, replace(p, delta=delta))
+        t_ref, r_ref = reference_fold(real, p, float(delta))
+        assert abs(t[i] - t_ref) <= 1e-13 * abs(t_ref)
+        assert abs(r[i] - r_ref) <= 1e-13 * abs(r_ref)
+    assert t[1] == t[3] == 0.0
+    assert abs(r[1]) == pytest.approx(1.0, rel=1e-12)
+    assert np.all(np.abs(t[[0, 2, 4]]) > 0.0)
+
+
+@pytest.mark.parametrize("theta", [1.0, math.pi / 2, math.pi])
+def test_thousand_lossless_atoms_stay_finite(theta):
+    # t underflows to 0 deep in the stop band; nothing overflows or NaNs
+    real = Realization(tuple(range(1000)), (0.0,) * 1000)
+    p = PhysicalParams(theta=theta, gamma_prime=0.0)
+    t, r = tm_spectrum(real, p, np.linspace(-3.0, 3.0, 121))
+    assert np.isfinite(t).all() and np.isfinite(r).all()
+    flux = np.abs(t) ** 2 + np.abs(r) ** 2
+    assert flux.max() <= 1.0 + 1e-12
+    assert flux.min() >= 1.0 - 1e-11
+
+
+def test_vectorized_fold_matches_reference_loop():
+    # numpy and Python complex arithmetic round differently, so the two
+    # agree to a few ulps per atom, not bit for bit
+    rng = np.random.default_rng(205)
+    for _ in range(10):
+        real = random_realization(rng, n_max=40, sigma=0.5)
+        p = PhysicalParams(theta=float(rng.uniform(0.0, 6.3)),
+                           gamma_prime=float(rng.uniform(0.0, 0.2)),
+                           eta=1e-4)
+        deltas = np.linspace(-5.0, 5.0, 11)
+        t, r = tm_spectrum(real, p, deltas)
+        for i, delta in enumerate(deltas):
+            t_ref, r_ref = reference_fold(real, p, float(delta))
+            assert abs(t[i] - t_ref) <= 1e-12 * abs(t_ref)
+            assert abs(r[i] - r_ref) <= 1e-12 * abs(r_ref)
 
 
 def test_matches_markovian_solver_at_zero_eta():
