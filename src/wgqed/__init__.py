@@ -11,10 +11,11 @@ from .model import (CavityChain, CavityGeometry, FillingMode, LatticeSpec,
                     PhysicalParams, Realization, mirror_closed_form,
                     reduce_theta)
 from .sampling import build_cavity, realization_rng, sample_realization
-from .solver import (ScanResult, ScatterResult, SolverError, build_h1,
+from .solver import (ScanResult, ScatterResult, SolverError,
                      count_local_maxima, optical_depth, scatter,
-                     spectrum_scan, steady_state)
-from .transfer_matrix import compare_markovian, tm_scatter, tm_spectrum
+                     spectrum_scan)
+from .transfer_matrix import (compare_markovian, tm_points, tm_scatter,
+                              tm_spectrum)
 from .dynamics import excited_population, propagate_amplitudes
 from .correlations import (G2Result, TruncatedState, g2_curve,
                            steady_state_truncated)
@@ -26,10 +27,9 @@ __all__ = [
     "CavityChain", "CavityGeometry", "FillingMode", "LatticeSpec",
     "PhysicalParams", "Realization", "mirror_closed_form", "reduce_theta",
     "build_cavity", "realization_rng", "sample_realization",
-    "ScanResult", "ScatterResult", "SolverError", "build_h1",
+    "ScanResult", "ScatterResult", "SolverError",
     "count_local_maxima", "optical_depth", "scatter", "spectrum_scan",
-    "steady_state",
-    "compare_markovian", "tm_scatter", "tm_spectrum",
+    "compare_markovian", "tm_points", "tm_scatter", "tm_spectrum",
     "excited_population", "propagate_amplitudes",
     "G2Result", "TruncatedState", "g2_curve", "steady_state_truncated",
     "Ensemble", "EnsembleStats", "filling_scan", "g2_ensemble", "kd_scan",

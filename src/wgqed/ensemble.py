@@ -24,7 +24,8 @@ from .correlations import g2_curve
 from .dynamics import excited_population
 from .model import CavityGeometry, FillingMode, LatticeSpec, PhysicalParams
 from .sampling import build_cavity, realization_rng, sample_realization
-from .solver import optical_depth, scatter, spectrum_scan
+from .solver import optical_depth, spectrum_scan
+from .transfer_matrix import tm_points
 
 DEFAULT_SAMPLES = 200
 
@@ -115,12 +116,12 @@ def spectrum_kernel(index, master_seed, lattice, params, deltas):
 
 def scatter_kernel(index, master_seed, points):
     """T and R, shape (2, len(points)), of realization ``index`` at each
-    ``(lattice, params)`` point; each distinct lattice is drawn once."""
+    ``(lattice, params)`` point in one fold; each lattice is drawn once."""
     draw = cache(lambda lattice, sigma_ih: sample_realization(
         lattice, sigma_ih, master_seed, index))
-    res = [scatter(draw(lattice, params.sigma_ih), params)
-           for lattice, params in points]
-    return np.array([[r.T for r in res], [r.R for r in res]])
+    t, r = tm_points([(draw(lattice, params.sigma_ih), params)
+                      for lattice, params in points])
+    return np.array([np.abs(t) ** 2, np.abs(r) ** 2])
 
 
 def rabi_kernel(index, master_seed, geom, filling, mode, params, times):
@@ -162,10 +163,15 @@ def spectrum_ensemble(lattice: LatticeSpec, params: PhysicalParams, deltas,
 
 def _scatter_scan(key, values, points, n_samples, master_seed, workers,
                   progress) -> Ensemble:
-    """Columns ``key`` (``values``), depth, T and R over ``points``."""
+    """Columns ``key`` (``values``), depth, T and R over ``points``;
+    raises where a T_mean is 0, as its depth would be infinite."""
     stats = run_ensemble(scatter_kernel, n_samples, master_seed, workers,
                          args=(points,), progress=progress)
     (T, R), (T_se, R_se) = stats.mean, stats.stderr
+    if not T.all():
+        raise RuntimeError(
+            "T_mean is 0, so the depth is not finite, at %s = %s"
+            % (key, ", ".join("%.6g" % v for v in values[T == 0.0])))
     depth = np.array([optical_depth(t) for t in T])
     return _ensemble({key: values, "depth": depth, "T_mean": T,
                       "T_se": T_se, "R_mean": R, "R_se": R_se}, stats)
@@ -190,12 +196,10 @@ def filling_scan(n_sites, params: PhysicalParams, fillings,
                  master_seed=0, workers=1, progress=None) -> Ensemble:
     """Optical depth versus filling fraction at fixed lattice phase.
 
-    The depth is -ln of the ensemble-averaged transmission.  Its
-    saturation near 70 at strong opacity is numerical, not physical:
-    the dense solve forms t = 1 + (i/2) w^H c by addition, so T stops
-    near 1e-32 whatever the chain, while the transfer-matrix cascade
-    keeps falling.  A realization that fails at any filling fails for
-    the whole scan.
+    The depth is -ln of the ensemble-averaged transmission, which the
+    cascade keeps to relative accuracy at any opacity inside the double
+    range.  A realization that fails at any filling fails for the whole
+    scan.
     """
     fillings = np.asarray(fillings, dtype=float)
     points = [(LatticeSpec(n_sites, float(p), mode), params) for p in fillings]

@@ -50,13 +50,6 @@ def effective_hamiltonian(phases, detunings, delta, gamma_prime, gamma0=1.0):
     return h
 
 
-def build_h1(real: Realization, params: PhysicalParams) -> np.ndarray:
-    """Effective Hamiltonian of a lattice realization, no phase reduction."""
-    return effective_hamiltonian(
-        real.phases(params.theta), real.detunings, params.delta,
-        params.gamma_prime, params.gamma0)
-
-
 def solve_with_refinement(h, rhs, label="steady-state"):
     """LU solve plus one refinement step, gated on the relative residual.
 
@@ -86,14 +79,6 @@ def solve_with_refinement(h, rhs, label="steady-state"):
                           % (label, res, RESIDUAL_TOL),
                           condition=float(np.linalg.cond(h)))
     return x, res
-
-
-def steady_state(h1: np.ndarray, drive: np.ndarray, omega: float) -> np.ndarray:
-    """Atomic amplitudes c solving h1 c = omega * drive, residual-gated."""
-    if h1.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    c, _ = solve_with_refinement(h1, omega * np.asarray(drive, dtype=complex))
-    return c
 
 
 @dataclass(frozen=True)

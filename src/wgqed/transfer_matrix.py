@@ -1,4 +1,4 @@
-"""Independent scattering route: the scattering-matrix cascade.
+"""Scattering-matrix cascade: depth scans, g2 baseline, solver cross-check.
 
 Each atom contributes the single-atom coefficients (t, r) evaluated at
 its own inhomogeneous offset; each gap of g lattice sites contributes a
@@ -8,10 +8,11 @@ Markovian limit); a small eta restores the first-order retardation of
 the real dispersive waveguide, which the Markovian solver drops.
 
 The atoms are folded in one at a time by scattering-matrix (Redheffer)
-composition, vectorized over the detuning grid.  The fold only ever
-holds bounded reflection and transmission coefficients, and t shrinks
-by one multiplication per atom, so it keeps ~n*eps relative accuracy at
-any opacity and underflows to 0 (never to NaN) past the double range.
+composition, vectorized over a detuning grid or over the points of a
+scan.  The fold only ever holds bounded reflection and transmission
+coefficients, and t shrinks by one multiplication per atom, so it keeps
+~n*eps relative accuracy at any opacity and underflows to 0 (never to
+NaN) past the double range.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, Realization
+from .model import PhysicalParams, Realization, reduce_theta
 
 
 def atom_coefficients(delta, gamma_prime, det_shift=0.0, gamma0=1.0):
@@ -44,23 +45,14 @@ def gap_phase(theta, gap_sites, delta, eta, gamma0=1.0):
     return phi
 
 
-def tm_spectrum(real: Realization, params: PhysicalParams, deltas):
-    """Cascade (t, r) over a detuning grid, left incidence, with the
-    first atom as the reference plane.
-
-    Returns (t_amp, r_amp) complex arrays aligned with ``deltas``.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    phis = gap_phase(params.theta, np.diff(real.occupied_sites)[:, None],
-                     deltas, params.eta, params.gamma0)
+def _fold(t_at, r_at, phis):
+    """Left-incidence (t, r) of each column of (atoms x columns) atom
+    coefficients, atom j a gap phase phis[j - 1] past atom j - 1."""
     hop, hop2 = np.exp(1j * phis), np.exp(2j * phis)
-    t_at, r_at = atom_coefficients(
-        deltas, params.gamma_prime,
-        np.asarray(real.detunings, dtype=float)[:, None], params.gamma0)
-    tt = np.ones(deltas.size, dtype=complex)
-    rl = np.zeros(deltas.size, dtype=complex)   # reflection from the left
-    rr = np.zeros(deltas.size, dtype=complex)   # reflection from the right
-    for j in range(real.n):
+    tt = np.ones(t_at.shape[1], dtype=complex)
+    rl = np.zeros(t_at.shape[1], dtype=complex)   # reflection from the left
+    rr = np.zeros(t_at.shape[1], dtype=complex)   # reflection from the right
+    for j in range(t_at.shape[0]):
         if j:
             tt *= hop[j - 1]
             rr *= hop2[j - 1]
@@ -74,6 +66,44 @@ def tm_spectrum(real: Realization, params: PhysicalParams, deltas):
         rr = np.where(mirror, r_a, r_a + t_a * t_a * rr / den)
         tt = np.where(mirror, tt, tt * t_a / den)
     return tt, rl
+
+
+def tm_spectrum(real: Realization, params: PhysicalParams, deltas):
+    """Cascade (t, r) over a detuning grid, left incidence, with the
+    first atom as the reference plane.
+
+    Returns (t_amp, r_amp) complex arrays aligned with ``deltas``.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    phis = gap_phase(params.theta, np.diff(real.occupied_sites)[:, None],
+                     deltas, params.eta, params.gamma0)
+    t_at, r_at = atom_coefficients(
+        deltas, params.gamma_prime,
+        np.asarray(real.detunings, dtype=float)[:, None], params.gamma0)
+    return _fold(t_at, r_at, phis)
+
+
+def tm_points(points):
+    """Markovian cascade (t, r) at params.delta of each ``(realization,
+    params)`` point (eta ignored), one fold column each.  Shorter chains
+    end in transparent atoms (t = 1, r = 0, gap phase 0); a column that
+    reduce_theta conjugates folds with delta and the offsets negated and
+    is then conjugated, so theta <-> 2*pi - theta is bit-exact."""
+    n = max((real.n for real, _ in points), default=0)
+    t_at = np.ones((n, len(points)), dtype=complex)
+    r_at = np.zeros((n, len(points)), dtype=complex)
+    phis = np.zeros((n, len(points)))
+    conj = np.zeros(len(points), dtype=bool)
+    for k, (real, params) in enumerate(points):
+        theta, conj[k] = reduce_theta(params.theta)
+        sign = -1.0 if conj[k] else 1.0
+        gaps = np.diff(real.occupied_sites)
+        phis[:gaps.size, k] = theta * gaps
+        t_at[:real.n, k], r_at[:real.n, k] = atom_coefficients(
+            sign * params.delta, params.gamma_prime,
+            sign * np.asarray(real.detunings, dtype=float), params.gamma0)
+    t, r = _fold(t_at, r_at, phis)
+    return np.where(conj, t.conj(), t), np.where(conj, r.conj(), r)
 
 
 def tm_scatter(real: Realization, params: PhysicalParams):

@@ -53,9 +53,10 @@ def test_spectrum_smoke(tmp_path):
 SMALL_ARGS = {
     "spectrum": ["--n-sites", "10", "--filling", "0.5", "--samples", "2",
                  "--delta-steps", "3"],
-    "kd-scan": ["--n-sites", "10", "--filling", "0.5", "--samples", "2",
-                "--theta-steps", "3"],
-    "filling-scan": ["--n-sites", "10", "--samples", "2", "--p-steps", "2"],
+    "kd-scan": ["--n-sites", "10", "--filling", "0.5", "--gamma-prime", "0.1",
+                "--samples", "2", "--theta-steps", "3"],
+    "filling-scan": ["--n-sites", "10", "--gamma-prime", "0.1", "--samples",
+                     "2", "--p-steps", "2"],
     "rabi": ["--mirror-sites", "4", "--samples", "2", "--t-steps", "5"],
     "g2": ["--n-sites", "8", "--filling", "0.5", "--theta", "0.8",
            "--gamma-prime", "0.1", "--samples", "2", "--tau-steps", "3"],
@@ -372,6 +373,25 @@ def test_g2_underflow_exits_3_without_writing(tmp_path, capsys):
     assert "numerical failure" in err and "g2 not finite" in err
     assert not out.exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("args, where", [
+    (["kd-scan", "--n-sites", "1", "--samples", "1", "--theta-steps", "2"],
+     "theta = 0.15708, 6.12611"),
+    (["filling-scan", "--n-sites", "4", "--samples", "2", "--p-min", "0",
+      "--p-max", "1", "--p-steps", "2"], "filling = 1"),
+], ids=["kd-scan-lone-atom", "filling-scan-full-chain"])
+def test_zero_transmission_exits_3_without_writing(tmp_path, capsys, args,
+                                                   where):
+    """A lossless resonant atom transmits exactly nothing, so the depth
+    is not finite: exit 3 naming the points, no file, no traceback."""
+    out = tmp_path / "scan.dat"
+    assert main([*args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "T_mean is 0" in err
+    assert err.rstrip().endswith(where)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

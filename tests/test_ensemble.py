@@ -10,7 +10,7 @@ from wgqed.ensemble import (filling_scan, g2_ensemble, kd_scan,
 from wgqed.model import (CavityGeometry, FillingMode, LatticeSpec,
                          PhysicalParams)
 from wgqed.sampling import sample_realization
-from wgqed.solver import scatter
+from wgqed.transfer_matrix import tm_points
 
 
 def counting_kernel(index, master_seed):
@@ -129,14 +129,14 @@ def test_ensemble_conservation_without_loss():
 
 
 def test_filling_scan_growth_then_plateau():
-    """Depth climbs with filling at low density, then the averaged
-    transmission bottoms out and the curve flattens."""
+    """Depth climbs strictly with filling, up to an opaque chain whose
+    averaged transmission is far below the dense solve's 1e-32 floor."""
     params = PhysicalParams(theta=1.0, delta=0.0, gamma_prime=0.1)
     scan = filling_scan(100, params, (0.1, 0.3, 0.5, 0.9), n_samples=30,
                         master_seed=9)
     d = scan.columns["depth"]
     assert d[1] > d[0] + 5.0
-    assert abs(d[3] - d[2]) < 3.0
+    assert np.all(np.diff(d) > 0.0) and d[3] > 450.0
     assert scan.columns["T_mean"].shape == (4,)
 
 
@@ -243,12 +243,12 @@ def test_filling_scan_fails_realizations_not_fillings(monkeypatch, workers):
     def doomed(real):        # the two-atom draws that start on site 0
         return real.n == 2 and real.occupied_sites[0] == 0
 
-    def flaky_scatter(real, params):
-        if doomed(real):
+    def flaky_tm_points(points):
+        if any(doomed(real) for real, _ in points):
             raise RuntimeError("forced")
-        return scatter(real, params)
+        return tm_points(points)
 
-    monkeypatch.setattr(ensemble, "scatter", flaky_scatter)
+    monkeypatch.setattr(ensemble, "tm_points", flaky_tm_points)
     scan = filling_scan(6, PhysicalParams(theta=1.0, gamma_prime=0.1),
                         [lattice.filling, 1.0], n_samples=8, master_seed=0,
                         workers=workers)

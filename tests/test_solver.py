@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from wgqed.model import PhysicalParams, Realization, mirror_closed_form
-from wgqed.solver import (SolverError, build_h1, count_local_maxima,
+from wgqed.solver import (SolverError, count_local_maxima,
                           effective_hamiltonian, optical_depth, scatter,
-                          solve_with_refinement, spectrum_scan, steady_state)
+                          solve_with_refinement, spectrum_scan)
 
 
 def random_realization(rng, n_sites=100, n_max=30):
@@ -16,34 +16,33 @@ def random_realization(rng, n_sites=100, n_max=30):
 
 
 def test_h1_single_atom_entry():
-    h = build_h1(Realization((0,), (0.0,)),
-                 PhysicalParams(gamma_prime=0.1, delta=0.0))
+    h = effective_hamiltonian([0.0], [0.0], delta=0.0, gamma_prime=0.1)
     assert h.shape == (1, 1)
     assert h[0, 0] == pytest.approx(-0.55j, abs=1e-15)
 
 
 def test_h1_offdiagonal_phases():
-    p = PhysicalParams(theta=math.pi, gamma_prime=0.0)
-    h = build_h1(Realization((0, 1), (0.0, 0.0)), p)
+    h = effective_hamiltonian([0.0, math.pi], [0.0, 0.0], delta=0.0,
+                              gamma_prime=0.0)
     # e^{i pi} = -1 flips the coupling sign
     assert h[0, 1] == pytest.approx(0.5j, abs=1e-15)
-    p2 = PhysicalParams(theta=math.pi / 2, gamma_prime=0.0)
-    h2 = build_h1(Realization((0, 1), (0.0, 0.0)), p2)
+    h2 = effective_hamiltonian([0.0, math.pi / 2], [0.0, 0.0], delta=0.0,
+                               gamma_prime=0.0)
     assert h2[0, 1] == pytest.approx(0.5 + 0.0j, abs=1e-15)
     assert np.allclose(h2, h2.T)  # complex-symmetric, not Hermitian
 
 
 def test_h1_detunings_enter_diagonal():
-    p = PhysicalParams(gamma_prime=0.0, delta=1.0)
-    h = build_h1(Realization((0, 2), (0.3, -0.4)), p)
+    h = effective_hamiltonian([0.0, 2 * math.pi], [0.3, -0.4], delta=1.0,
+                              gamma_prime=0.0)
     assert h[0, 0].real == pytest.approx(-(1.0 - 0.3), rel=1e-15)
     assert h[1, 1].real == pytest.approx(-(1.0 + 0.4), rel=1e-15)
 
 
 def test_single_atom_steady_state():
     p = PhysicalParams(gamma_prime=0.1, delta=0.0)
-    h = build_h1(Realization((0,), (0.0,)), p)
-    c = steady_state(h, np.ones(1), p.omega)
+    h = effective_hamiltonian([0.0], [0.0], p.delta, p.gamma_prime)
+    c, _ = solve_with_refinement(h, p.omega * np.ones(1))
     assert c[0] == pytest.approx(1j * p.omega / 0.55, rel=1e-12)
 
 

@@ -1,13 +1,18 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
-from wgqed.model import PhysicalParams, Realization, mirror_closed_form
+from wgqed.ensemble import scatter_kernel
+from wgqed.model import (LatticeSpec, PhysicalParams, Realization,
+                         mirror_closed_form)
+from wgqed.sampling import sample_realization
 from wgqed.solver import scatter, spectrum_scan
 from wgqed.transfer_matrix import (atom_coefficients, compare_markovian,
-                                   gap_phase, tm_scatter, tm_spectrum)
+                                   gap_phase, tm_points, tm_scatter,
+                                   tm_spectrum)
 
 
 def random_realization(rng, n_sites=80, n_max=20, sigma=0.0):
@@ -135,6 +140,88 @@ def test_matches_markovian_solver_at_zero_eta():
         t, r = tm_scatter(real, p)
         assert abs(s.T - abs(t) ** 2) < 1e-10
         assert abs(s.R - abs(r) ** 2) < 1e-10
+
+
+def test_points_fold_matches_dense_solver():
+    """One fold over chains of mixed lengths, phases past pi, detuned
+    drive and inhomogeneous offsets agrees with the dense solve."""
+    rng = np.random.default_rng(201)
+    points = [(random_realization(rng, sigma=0.5),
+               PhysicalParams(theta=float(rng.uniform(0.2, 6.0)),
+                              gamma_prime=float(rng.uniform(0.0, 0.3)),
+                              delta=float(rng.uniform(-4, 4))))
+              for _ in range(30)]
+    t, r = tm_points(points)
+    for k, (real, p) in enumerate(points):
+        s = scatter(real, p)
+        # the dense t = 1 + (i/2) w^H c loses about eps/|t| by cancellation
+        assert abs(abs(t[k]) ** 2 - s.T) <= 1e-10 * s.T
+        assert abs(abs(r[k]) ** 2 - s.R) <= 1e-10 * s.R
+
+
+def test_points_fold_padding_and_mirror_phase_are_bit_exact():
+    """A chain folds to the same bits with or without padding next to
+    longer chains, and theta -> 2*pi - theta with the detunings negated
+    gives the conjugate amplitudes bit for bit."""
+    rng = np.random.default_rng(202)
+    reals = [random_realization(rng, sigma=0.5) for _ in range(6)] + [
+        Realization((), ())]
+    flipped = [Realization(real.occupied_sites,
+                           tuple(-d for d in real.detunings))
+               for real in reals]
+    p = PhysicalParams(theta=2 * math.pi - 1.3, gamma_prime=0.1, delta=0.4)
+    mirror = replace(p, theta=2 * math.pi - p.theta, delta=-p.delta)
+    t, r = tm_points([(real, p) for real in reals]
+                     + [(real, mirror) for real in flipped])
+    m = len(reals)
+    assert np.array_equal(t[m:], t[:m].conj())
+    assert np.array_equal(r[m:], r[:m].conj())
+    assert t[m - 1] == 1.0 and r[m - 1] == 0.0
+    for k, real in enumerate(reals):
+        # two unpadded columns: numpy multiplies a one-element array in
+        # place along a scalar path that may round differently
+        t_alone, r_alone = tm_points([(real, p)] * 2)
+        assert t_alone[0] == t[k] and r_alone[0] == r[k]
+
+
+def mp_dense_scatter(real, params, digits=60):
+    """(T, R) of the dense steady state H c = w at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        phi = [mpmath.mpf(params.theta) * m for m in real.occupied_sites]
+        n, g0 = real.n, mpmath.mpf(params.gamma0)
+        h = mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                h[j, k] = -0.5j * g0 * mpmath.expj(abs(phi[j] - phi[k]))
+            h[j, j] -= (mpmath.mpf(params.delta) - real.detunings[j]
+                        + 0.5j * mpmath.mpf(params.gamma_prime))
+        w = mpmath.matrix([mpmath.expj(x) for x in phi])
+        c = mpmath.lu_solve(h, w)
+        t = 1 + 0.5j * g0 * sum(mpmath.conj(w[j]) * c[j] for j in range(n))
+        r = 0.5j * g0 * sum(w[j] * c[j] for j in range(n))
+        return float(abs(t) ** 2), float(abs(r) ** 2)
+
+
+def test_scan_kernel_matches_high_precision_dense_solve():
+    """Full chains down to T ~ 1e-78, far below the ~1e-32 floor of the
+    double-precision dense solve, against a 60-digit dense solve."""
+    lossy = dict(gamma_prime=0.1)
+    points = [
+        (LatticeSpec(20, 1.0), PhysicalParams(theta=1.0, **lossy)),
+        (LatticeSpec(20, 1.0), PhysicalParams(theta=2 * math.pi - 1.0,
+                                              delta=0.3, sigma_ih=0.5,
+                                              **lossy)),
+        (LatticeSpec(24, 1.0), PhysicalParams(theta=1.0, delta=0.3,
+                                              sigma_ih=0.5, **lossy)),
+        (LatticeSpec(30, 1.0), PhysicalParams(theta=math.pi / 2, **lossy)),
+    ]
+    T, R = scatter_kernel(0, 11, points)
+    for k, (lattice, p) in enumerate(points):
+        real = sample_realization(lattice, p.sigma_ih, 11, 0)
+        T_ref, R_ref = mp_dense_scatter(real, p)
+        assert abs(T[k] - T_ref) <= 1e-10 * T_ref
+        assert abs(R[k] - R_ref) <= 1e-10 * R_ref
+    assert min(T) < 1e-70
 
 
 def test_mirror_closed_form_any_eta_at_resonance():
