@@ -5,6 +5,19 @@ photon correlations for two-level atoms randomly occupying a periodic
 lattice coupled to a single-mode waveguide.
 """
 
+import os
+
+# One BLAS thread per process unless the caller chose a count.  numpy and
+# scipy each load their own OpenBLAS pool, and two threaded pools spin
+# against each other on the small solves this package makes; one thread
+# also keeps the bits of a result file off the host's core count.  The
+# variables are read when numpy loads, so this runs before any submodule
+# imports it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 __version__ = "0.1.0"
 
 from .model import (CavityChain, CavityGeometry, FillingMode, LatticeSpec,

@@ -255,15 +255,26 @@ def cmd_tm_compare(ns):
 
 
 def cmd_run(ns):
-    cfg = io.load_config(ns.config)
-    if not isinstance(cfg, dict) or "jobs" not in cfg:
+    cfg = _checked(io.load_config, ns.config)
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("jobs"), list):
         raise ConfigError("config must be a mapping with a 'jobs' list")
     defaults = cfg.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ConfigError("'defaults' must be a mapping")
+    for job in cfg["jobs"]:
+        if not isinstance(job, dict) or not isinstance(job.get("command"),
+                                                       str):
+            raise ConfigError("every job must be a mapping with a "
+                              "'command' string")
+        if not isinstance(job.get("args", {}), dict):
+            raise ConfigError("a job's 'args' must be a mapping")
+        if not all(isinstance(job.get(key, ""), str)
+                   for key in ("name", "out", "format")):
+            raise ConfigError("a job's 'name', 'out' and 'format' must be "
+                              "strings")
     os.makedirs(ns.out_dir, exist_ok=True)
     entries = []
     for job in cfg["jobs"]:
-        if "command" not in job:
-            raise ConfigError("every job needs a 'command'")
         args = dict(defaults)
         args.update(job.get("args", {}))
         tokens = [job["command"]]

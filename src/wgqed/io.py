@@ -145,16 +145,25 @@ def write_manifest(path, entries):
 
 
 def load_config(path):
-    """Batch configuration from JSON or YAML, decided by file suffix."""
-    text = open(path).read()
+    """Batch configuration from JSON or YAML, decided by file suffix.
+
+    A file with neither suffix is read as JSON, then as YAML.  Text that
+    does not decode or parse raises ValueError with a one-line message.
+    """
+    import yaml
+
     lower = str(path).lower()
-    if lower.endswith(".json"):
-        return json.loads(text)
-    if lower.endswith((".yaml", ".yml")):
-        import yaml
-        return yaml.safe_load(text)
     try:
-        return json.loads(text)
-    except ValueError:
-        import yaml
-        return yaml.safe_load(text)
+        with open(path) as fh:
+            text = fh.read()
+        if lower.endswith(".json"):
+            return json.loads(text)
+        if lower.endswith((".yaml", ".yml")):
+            return yaml.safe_load(text)
+        try:
+            return json.loads(text)
+        except ValueError:
+            return yaml.safe_load(text)
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ValueError("cannot read %s: %s"
+                         % (path, " ".join(str(exc).split()))) from None

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -471,3 +473,103 @@ def test_missing_config_file_exits_2(tmp_path):
     code = main(["run", "--config", str(tmp_path / "absent.json"),
                  "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bad.json", '{"jobs": ['),
+    ("bad.yaml", "jobs: [a"),
+    ("bad.json", b"\xff\xfe"),
+    ("bad.json", '{"defaults": [1], "jobs": [{"command": "spectrum"}]}'),
+    ("bad.json", '{"jobs": [{"command": "spectrum", "args": [1]}]}'),
+    ("bad.json", '{"jobs": {"command": "spectrum"}}'),
+    ("bad.json", '{"jobs": ["spectrum"]}'),
+    ("bad.json", '{"jobs": [{"command": 1}]}'),
+    ("bad.json", '{"jobs": [{"command": "spectrum", "name": 1}]}'),
+    ("bad.yaml", "- spectrum"),
+], ids=["json-syntax", "yaml-syntax", "not-utf8", "defaults-list",
+        "args-list", "jobs-mapping", "job-string", "command-number",
+        "name-number", "top-level-list"])
+def test_unreadable_or_misshapen_config_exits_2(tmp_path, capsys, name,
+                                                text):
+    """A config that does not parse, or has the wrong shape anywhere,
+    exits 2 with one line before any job runs."""
+    cfg = tmp_path / name
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("wgqed: configuration error:")
+    assert err.count("\n") == 1
+    assert not (out_dir / "manifest.json").exists()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _child_env(**extra):
+    """This environment without the BLAS thread variables, plus extra."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(PYTHONPATH=SRC, SOURCE_DATE_EPOCH="1700000000", **extra)
+    return env
+
+
+@pytest.mark.parametrize("given, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+], ids=["unset", "caller-set"])
+def test_import_defaults_to_one_blas_thread(given, expected):
+    """Importing wgqed sets all three thread variables to 1, unless the
+    caller set any of them, in which case none is touched."""
+    probe = ("import json, os, wgqed; print(json.dumps("
+             "[os.environ.get(k) for k in %r]))" % (BLAS_THREAD_VARS,))
+    run = subprocess.run([sys.executable, "-c", probe],
+                         env=_child_env(**given), capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout) == expected
+
+
+# A mid-gap reflected g2 of 150 atoms: its pair solve and singles call
+# threaded BLAS, and its bits move with the thread count.
+THREAD_SENSITIVE_RUN = ["g2", "--n-sites", "250", "--filling", "0.6",
+                        "--theta", "pi/2", "--gamma-prime", "0.1",
+                        "--port", "reflected", "--samples", "2",
+                        "--tau-steps", "200"]
+
+
+def _console_run(out, **env):
+    """THREAD_SENSITIVE_RUN as the wgqed console script runs it, in a
+    child process; the bytes of the file it writes."""
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from wgqed.cli import main; "
+                    "sys.exit(main())", *THREAD_SENSITIVE_RUN,
+                    "--out", str(out)],
+                   env=_child_env(**env), capture_output=True, check=True)
+    return out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def default_thread_file(tmp_path_factory):
+    return _console_run(tmp_path_factory.mktemp("blas") / "default.dat")
+
+
+def test_default_threads_write_the_one_thread_file(tmp_path,
+                                                   default_thread_file):
+    assert default_thread_file == _console_run(tmp_path / "one.dat",
+                                               OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: OpenBLAS runs one thread anyway")
+def test_thread_sensitive_run_sees_the_thread_count(tmp_path,
+                                                    default_thread_file):
+    """The run above is a real probe: two BLAS threads change its bits."""
+    assert default_thread_file != _console_run(tmp_path / "two.dat",
+                                               OPENBLAS_NUM_THREADS="2")

@@ -105,6 +105,16 @@ TINY_RUNS = {
         LatticeSpec(8, 0.5), PhysicalParams(theta=0.8, gamma_prime=0.1),
         [0.0, 0.5, 1.0], port="reflected", n_samples=3, master_seed=6,
         average="G2", **kw),
+    # 120 atoms: sizes at which OpenBLAS would go threaded
+    "spectrum-120-atoms": lambda **kw: spectrum_ensemble(
+        LatticeSpec(150, 0.8),
+        PhysicalParams(theta=np.pi / 2, gamma_prime=0.1, sigma_ih=0.3),
+        np.linspace(-1.0, 1.0, 5), n_samples=3, master_seed=11, **kw),
+    "g2-reflected-120-atoms": lambda **kw: g2_ensemble(
+        LatticeSpec(150, 0.8), PhysicalParams(theta=np.pi / 2,
+                                              gamma_prime=0.1),
+        [0.0, 0.5, 1.0, 2.0, 5.0], port="reflected", n_samples=2,
+        master_seed=12, **kw),
 }
 
 
