@@ -261,6 +261,7 @@ def cmd_run(ns):
     defaults = cfg.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("'defaults' must be a mapping")
+    jobs = []   # every job is checked and parsed before the first one runs
     for job in cfg["jobs"]:
         if not isinstance(job, dict) or not isinstance(job.get("command"),
                                                        str):
@@ -272,11 +273,7 @@ def cmd_run(ns):
                    for key in ("name", "out", "format")):
             raise ConfigError("a job's 'name', 'out' and 'format' must be "
                               "strings")
-    os.makedirs(ns.out_dir, exist_ok=True)
-    entries = []
-    for job in cfg["jobs"]:
-        args = dict(defaults)
-        args.update(job.get("args", {}))
+        args = {**defaults, **job.get("args", {})}
         tokens = [job["command"]]
         for key, value in sorted(args.items()):
             flag = "--" + str(key).replace("_", "-").lstrip("-")
@@ -286,14 +283,17 @@ def cmd_run(ns):
         tokens.extend(["--out", out])
         if "format" in job:
             tokens.extend(["--format", job["format"]])
-        code = _dispatch(tokens)
+        jobs.append((build_parser().parse_args(tokens),
+                     {"name": name, "command": job["command"], "out": out,
+                      "args": args}))
+    os.makedirs(ns.out_dir, exist_ok=True)
+    for job_ns, entry in jobs:
+        code = _execute(job_ns)
         if code != 0:
             return code
-        entries.append({"name": name, "command": job["command"],
-                        "out": out, "sha256": io.sha256_file(out),
-                        "args": args})
+        entry["sha256"] = io.sha256_file(entry["out"])
     manifest = os.path.join(ns.out_dir, "manifest.json")
-    io.write_manifest(manifest, entries)
+    io.write_manifest(manifest, [entry for _, entry in jobs])
     print("wrote %s" % manifest, file=sys.stderr)
     return 0
 
@@ -384,9 +384,8 @@ def build_parser():
     return top
 
 
-def _dispatch(argv):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+def _execute(ns):
+    """Run a parsed command; its failures as exit codes 2 and 3."""
     try:
         return ns.func(ns)
     except ConfigError as exc:
@@ -401,7 +400,7 @@ def _dispatch(argv):
 
 
 def main(argv=None) -> int:
-    return _dispatch(sys.argv[1:] if argv is None else list(argv))
+    return _execute(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ runs and process pools of any size produce bit-identical statistics.
 Failed realizations are recorded with their index and skipped rather
 than aborting the whole run; a worker process that dies aborts it.
 
-All observable kernels live at module level so they pickle cleanly into
-worker processes.
+The spectrum and both scans share ``scatter_kernel``: one cascade fold
+per realization over all the points of the ensemble.  All observable
+kernels live at module level so they pickle cleanly into worker processes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .correlations import g2_curve
 from .dynamics import excited_population
 from .model import CavityGeometry, FillingMode, LatticeSpec, PhysicalParams
 from .sampling import build_cavity, realization_rng, sample_realization
-from .solver import optical_depth, spectrum_scan
+from .solver import optical_depth
 from .transfer_matrix import tm_points
 
 DEFAULT_SAMPLES = 200
@@ -108,12 +109,6 @@ def _sample_std(stacked):
 # ----------------------------------------------------------------------
 # picklable observable kernels
 
-def spectrum_kernel(index, master_seed, lattice, params, deltas):
-    real = sample_realization(lattice, params.sigma_ih, master_seed, index)
-    scan = spectrum_scan(real, params, deltas)
-    return np.stack([scan.T, scan.R])
-
-
 def scatter_kernel(index, master_seed, points):
     """T and R, shape (2, len(points)), of realization ``index`` at each
     ``(lattice, params)`` point in one fold; each lattice is drawn once."""
@@ -150,31 +145,37 @@ def _ensemble(columns, stats) -> Ensemble:
     return Ensemble(columns, stats.count, stats.master_seed, stats.failures)
 
 
+def _scatter(points, n_samples, master_seed, workers, progress):
+    """Stats of ``scatter_kernel`` over ``points``, and its T, R columns."""
+    stats = run_ensemble(scatter_kernel, n_samples, master_seed, workers,
+                         args=(points,), progress=progress)
+    (T, R), (T_se, R_se) = stats.mean, stats.stderr
+    return stats, {"T_mean": T, "T_se": T_se, "R_mean": R, "R_se": R_se}
+
+
 def spectrum_ensemble(lattice: LatticeSpec, params: PhysicalParams, deltas,
                       n_samples=DEFAULT_SAMPLES, master_seed=0, workers=1,
                       progress=None) -> Ensemble:
+    """Ensemble T and R over a detuning grid; a T_mean of 0 is valid."""
     deltas = np.asarray(deltas, dtype=float)
-    stats = run_ensemble(spectrum_kernel, n_samples, master_seed, workers,
-                         args=(lattice, params, deltas), progress=progress)
-    (T, R), (T_se, R_se) = stats.mean, stats.stderr
-    return _ensemble({"delta": deltas, "T_mean": T, "T_se": T_se,
-                      "R_mean": R, "R_se": R_se, "sum_mean": T + R}, stats)
+    points = [(lattice, replace(params, delta=float(d))) for d in deltas]
+    stats, cols = _scatter(points, n_samples, master_seed, workers, progress)
+    return _ensemble({"delta": deltas, **cols,
+                      "sum_mean": cols["T_mean"] + cols["R_mean"]}, stats)
 
 
 def _scatter_scan(key, values, points, n_samples, master_seed, workers,
                   progress) -> Ensemble:
     """Columns ``key`` (``values``), depth, T and R over ``points``;
     raises where a T_mean is 0, as its depth would be infinite."""
-    stats = run_ensemble(scatter_kernel, n_samples, master_seed, workers,
-                         args=(points,), progress=progress)
-    (T, R), (T_se, R_se) = stats.mean, stats.stderr
+    stats, cols = _scatter(points, n_samples, master_seed, workers, progress)
+    T = cols["T_mean"]
     if not T.all():
         raise RuntimeError(
             "T_mean is 0, so the depth is not finite, at %s = %s"
             % (key, ", ".join("%.6g" % v for v in values[T == 0.0])))
     depth = np.array([optical_depth(t) for t in T])
-    return _ensemble({key: values, "depth": depth, "T_mean": T,
-                      "T_se": T_se, "R_mean": R, "R_se": R_se}, stats)
+    return _ensemble({key: values, "depth": depth, **cols}, stats)
 
 
 def kd_scan(lattice: LatticeSpec, params: PhysicalParams, thetas,

@@ -396,6 +396,21 @@ def test_zero_transmission_exits_3_without_writing(tmp_path, capsys, args,
     assert not out.exists()
 
 
+def test_spectrum_exact_zero_transmission_exits_0(tmp_path):
+    """A lossless lone atom on resonance transmits exactly nothing; a
+    spectrum writes that row as it is, with no inf or nan, and exits 0."""
+    out = tmp_path / "spectrum.dat"
+    assert main(["spectrum", "--n-sites", "1", "--filling", "1",
+                 "--gamma-prime", "0", "--delta-min", "-1", "--delta-max",
+                 "1", "--delta-steps", "3", "--out", str(out)]) == 0
+    cols, _ = read_columns(out)
+    assert cols["delta"][1] == 0.0
+    assert cols["T_mean"][1] == 0.0
+    assert cols["R_mean"][1] == 1.0 and cols["sum_mean"][1] == 1.0
+    assert all(np.isfinite(v).all() for v in cols.values())
+    assert "inf" not in out.read_text() and "nan" not in out.read_text()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -460,6 +475,26 @@ def test_empty_job_list_writes_manifest_only(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["jobs"] == []
     assert list(out_dir.iterdir()) == [out_dir / "manifest.json"]
+
+
+@pytest.mark.parametrize("bad_job", [
+    {"command": "nonsense"},
+    {"command": "spectrum", "args": {"flux_capacitor": 1}},
+], ids=["unknown-command", "unknown-flag"])
+def test_rejected_job_runs_no_job(tmp_path, bad_job):
+    """Every job is parsed before the first one runs, so a job argparse
+    rejects exits 2 with no job file and no manifest."""
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"jobs": [
+        {"command": "spectrum", "name": "good",
+         "args": {"n_sites": 4, "samples": 1, "delta_steps": 3}},
+        bad_job]}))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert err.value.code == 2
+    assert not (out_dir / "good.dat").exists()
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_malformed_config_exits_2(tmp_path):

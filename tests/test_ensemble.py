@@ -1,9 +1,10 @@
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wgqed import ensemble
+from wgqed import ensemble, solver
 from wgqed.correlations import default_taus
 from wgqed.ensemble import (filling_scan, g2_ensemble, kd_scan,
                             rabi_ensemble, run_ensemble, spectrum_ensemble)
@@ -135,7 +136,30 @@ def test_ensemble_conservation_without_loss():
     deltas = np.linspace(-3.0, 3.0, 7)
     ens = spectrum_ensemble(lattice, params, deltas, n_samples=10,
                             master_seed=5)
-    assert np.max(np.abs(ens.columns["sum_mean"] - 1.0)) < 1e-10
+    assert np.max(np.abs(ens.columns["sum_mean"] - 1.0)) <= 1e-12
+
+
+def test_spectrum_mirror_phase_is_bit_exact():
+    """theta -> 2*pi - theta with delta -> -delta gives the same ensemble
+    spectrum bit for bit (no inhomogeneous offsets to negate)."""
+    lattice, p = LatticeSpec(40, 0.5), PhysicalParams(theta=1.0,
+                                                      gamma_prime=0.1)
+    deltas = np.linspace(-3.0, 2.0, 11)
+    a = spectrum_ensemble(lattice, p, deltas, n_samples=6, master_seed=9)
+    b = spectrum_ensemble(lattice, replace(p, theta=2 * np.pi - p.theta),
+                          -deltas, n_samples=6, master_seed=9)
+    for name in ("T_mean", "T_se", "R_mean", "R_se"):
+        assert np.array_equal(a.columns[name], b.columns[name]), name
+
+
+def test_no_ensemble_runs_a_dense_solve(monkeypatch):
+    """Spectrum and both scans take T and R from the cascade alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve on an ensemble path")
+    monkeypatch.setattr(solver, "solve_with_refinement", refuse)
+    for name in ("spectrum", "kd-scan", "filling-scan"):
+        ens = TINY_RUNS[name](workers=1)
+        assert ens.failures == [] and ens.count > 1, name
 
 
 def test_filling_scan_growth_then_plateau():
