@@ -283,9 +283,13 @@ def cmd_run(ns):
         tokens.extend(["--out", out])
         if "format" in job:
             tokens.extend(["--format", job["format"]])
-        jobs.append((build_parser().parse_args(tokens),
-                     {"name": name, "command": job["command"], "out": out,
-                      "args": args}))
+        try:
+            parsed = build_parser().parse_args(tokens)
+        except SystemExit as exc:   # --help or --version would run no job
+            raise exc if exc.code else ConfigError(
+                "job %r asks for help or the version, not a run" % name)
+        jobs.append((parsed, {"name": name, "command": job["command"],
+                              "out": out, "args": args}))
     os.makedirs(ns.out_dir, exist_ok=True)
     for job_ns, entry in jobs:
         code = _execute(job_ns)

@@ -18,6 +18,7 @@ NaN) past the double range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -45,10 +46,10 @@ def gap_phase(theta, gap_sites, delta, eta, gamma0=1.0):
     return phi
 
 
-def _fold(t_at, r_at, phis):
+def _fold(t_at, r_at, hop, hop2):
     """Left-incidence (t, r) of each column of (atoms x columns) atom
-    coefficients, atom j a gap phase phis[j - 1] past atom j - 1."""
-    hop, hop2 = np.exp(1j * phis), np.exp(2j * phis)
+    coefficients, atom j a gap factor hop[j - 1] = exp(i phi) (and
+    hop2[j - 1] = exp(2i phi)) past atom j - 1."""
     tt = np.ones(t_at.shape[1], dtype=complex)
     rl = np.zeros(t_at.shape[1], dtype=complex)   # reflection from the left
     rr = np.zeros(t_at.shape[1], dtype=complex)   # reflection from the right
@@ -80,29 +81,39 @@ def tm_spectrum(real: Realization, params: PhysicalParams, deltas):
     t_at, r_at = atom_coefficients(
         deltas, params.gamma_prime,
         np.asarray(real.detunings, dtype=float)[:, None], params.gamma0)
-    return _fold(t_at, r_at, phis)
+    return _fold(t_at, r_at, np.exp(1j * phis), np.exp(2j * phis))
 
 
 def tm_points(points):
     """Markovian cascade (t, r) at params.delta of each ``(realization,
-    params)`` point (eta ignored), one fold column each.  Shorter chains
-    end in transparent atoms (t = 1, r = 0, gap phase 0); a column that
+    params)`` point (eta ignored), one fold column each; a run of points
+    on one realization shares one set-up.  Shorter chains end in
+    transparent atoms (t = 1, r = 0, gap factor 1); a column that
     reduce_theta conjugates folds with delta and the offsets negated and
     is then conjugated, so theta <-> 2*pi - theta is bit-exact."""
-    n = max((real.n for real, _ in points), default=0)
-    t_at = np.ones((n, len(points)), dtype=complex)
-    r_at = np.zeros((n, len(points)), dtype=complex)
-    phis = np.zeros((n, len(points)))
-    conj = np.zeros(len(points), dtype=bool)
-    for k, (real, params) in enumerate(points):
-        theta, conj[k] = reduce_theta(params.theta)
-        sign = -1.0 if conj[k] else 1.0
-        gaps = np.diff(real.occupied_sites)
-        phis[:gaps.size, k] = theta * gaps
-        t_at[:real.n, k], r_at[:real.n, k] = atom_coefficients(
-            sign * params.delta, params.gamma_prime,
-            sign * np.asarray(real.detunings, dtype=float), params.gamma0)
-    t, r = _fold(t_at, r_at, phis)
+    m, n = len(points), max((real.n for real, _ in points), default=0)
+    theta, conj, delta, gamma_prime, gamma0 = np.array(
+        [(*reduce_theta(p.theta), p.delta, p.gamma_prime, p.gamma0)
+         for _, p in points], dtype=float).reshape(m, 5).T
+    sign = np.where(conj, -1.0, 1.0)
+    offsets, gaps = np.zeros((n, m)), np.zeros((max(n - 1, 0), m), dtype=int)
+    phases, phase_of = {}, []   # (run, reduced theta) -> gap column; per point
+    k = 0
+    for real, run in groupby(real for real, _ in points):
+        cols, q = slice(k, k + len(list(run))), len(phases)
+        phase_of += [phases.setdefault((k, th), len(phases))
+                     for th in theta[cols].tolist()]
+        gaps[:max(real.n - 1, 0), q:len(phases)] = np.diff(
+            real.occupied_sites)[:, None]
+        offsets[:real.n, cols] = np.array(real.detunings, dtype=float)[:, None]
+        k = cols.stop
+    t_at, r_at = atom_coefficients(sign * delta, gamma_prime, sign * offsets,
+                                   gamma0)
+    pad = np.arange(n)[:, None] >= [real.n for real, _ in points]
+    t_at[pad], r_at[pad] = 1.0, 0.0
+    phis = gaps[:, :len(phases)] * [th for _, th in phases]
+    hop, hop2 = (np.exp(s * phis).take(phase_of, 1) for s in (1j, 2j))
+    t, r = _fold(t_at, r_at, hop, hop2)
     return np.where(conj, t.conj(), t), np.where(conj, r.conj(), r)
 
 

@@ -497,6 +497,29 @@ def test_rejected_job_runs_no_job(tmp_path, bad_job):
     assert not (out_dir / "manifest.json").exists()
 
 
+
+@pytest.mark.parametrize("bad_job", [
+    {"command": "spectrum", "args": {"help": 1}},
+    {"command": "spectrum", "args": {"h": 1}},
+    {"command": "spectrum", "args": {"hel": 1}},
+    {"command": "--version"},
+], ids=["help", "h", "hel", "version"])
+def test_help_job_exits_2_and_runs_no_job(tmp_path, capsys, bad_job):
+    """A job that parses to --help (or an abbreviation) or --version
+    would run nothing; it exits 2 with no job file and no manifest."""
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"jobs": [
+        {"command": "spectrum", "name": "good",
+         "args": {"n_sites": 4, "samples": 1, "delta_steps": 3}},
+        bad_job]}))
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out_dir / "good.dat").exists()
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"no_jobs_here": true}')

@@ -9,6 +9,7 @@ from wgqed.ensemble import scatter_kernel, spectrum_ensemble
 from wgqed.model import (LatticeSpec, PhysicalParams, Realization,
                          mirror_closed_form)
 from wgqed.sampling import sample_realization
+from wgqed import transfer_matrix
 from wgqed.solver import scatter, spectrum_scan
 from wgqed.transfer_matrix import (atom_coefficients, compare_markovian,
                                    gap_phase, tm_points, tm_scatter,
@@ -182,6 +183,64 @@ def test_points_fold_padding_and_mirror_phase_are_bit_exact():
         # place along a scalar path that may round differently
         t_alone, r_alone = tm_points([(real, p)] * 2)
         assert t_alone[0] == t[k] and r_alone[0] == r[k]
+
+
+
+def assert_runs_fold_like_single_points(runs):
+    """tm_points over equal-length ``runs`` of points, each run one
+    realization, gives the same bits as the same points interleaved, so
+    that no two neighbours share a realization and each run is set up
+    one point at a time.  Both calls fold at least two columns."""
+    t_run, r_run = tm_points([pt for run in runs for pt in run])
+    t_one, r_one = tm_points([pt for pts in zip(*runs) for pt in pts])
+    shape = (len(runs[0]), len(runs))
+    assert np.array_equal(t_run.reshape(shape[::-1]), t_one.reshape(shape).T)
+    assert np.array_equal(r_run.reshape(shape[::-1]), r_one.reshape(shape).T)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.0, 2 * math.pi - 1.0,
+                                   math.pi])
+def test_spectrum_run_sets_up_like_single_points(theta):
+    p = PhysicalParams(theta=theta, gamma_prime=0.1, sigma_ih=0.3)
+    reals = [sample_realization(LatticeSpec(60, 0.5), 0.3, 7, i)
+             for i in range(2)]
+    deltas = np.linspace(-4.0, 4.0, 61)
+    assert_runs_fold_like_single_points(
+        [[(real, replace(p, delta=float(d))) for d in deltas]
+         for real in reals])
+
+
+def test_theta_scan_run_sets_up_like_single_points():
+    p = PhysicalParams(gamma_prime=0.05, delta=0.3, sigma_ih=0.5)
+    thetas = np.linspace(0.1, 2 * math.pi - 0.1, 39)    # both sides of pi
+    reals = [sample_realization(LatticeSpec(60, 0.5), 0.5, 4, i)
+             for i in range(2)]
+    assert_runs_fold_like_single_points(
+        [[(real, replace(p, theta=float(th))) for th in thetas]
+         for real in reals])
+
+
+def test_filling_scan_runs_of_unequal_length_pad_like_single_points():
+    p = PhysicalParams(theta=1.0, gamma_prime=0.1)
+    reals = [sample_realization(LatticeSpec(100, f), 0.0, 3, 0)
+             for f in (0.1, 0.55, 1.0, 0.3)]
+    assert_runs_fold_like_single_points(
+        [[(real, replace(p, delta=d)) for d in (-0.5, 0.0, 0.5)]
+         for real in reals])
+
+
+def test_spectrum_sets_up_atoms_once_per_realization(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return atom_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(transfer_matrix, "atom_coefficients", counted)
+    spectrum_ensemble(LatticeSpec(200, 0.6),
+                      PhysicalParams(theta=math.pi / 2, gamma_prime=0.1),
+                      np.linspace(-20.0, 20.0, 401), n_samples=3)
+    assert len(calls) == 3
 
 
 def mp_dense_scatter(real, params, digits=60):
